@@ -78,6 +78,17 @@ class ByteReader {
     raw(&v, sizeof v);
     return v;
   }
+  /// Reads a u32 element count and rejects one the remaining bytes cannot
+  /// hold at `min_elem_bytes` (> 0) per element, so a misparsed length
+  /// prefix is a DataError instead of a multi-gigabyte reserve().
+  std::uint32_t count(std::size_t min_elem_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (bytes_.size() - pos_) / min_elem_bytes)
+      throw DataError("SSMTRACE payload truncated: a count of " +
+                      std::to_string(n) +
+                      " elements exceeds the remaining bytes");
+    return n;
+  }
   std::string str() {
     const std::uint32_t n = u32();
     if (bytes_.size() - pos_ < n)

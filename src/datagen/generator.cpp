@@ -1,6 +1,8 @@
 #include "datagen/generator.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "common/check.hpp"
 #include "engine/fork.hpp"
@@ -19,69 +21,81 @@ DataGenerator::DataGenerator(GpuConfig gpu_cfg, VfTable vf, GenConfig gen_cfg)
 
 namespace {
 
-/// Replays the collection horizon from `snapshot` with the scaling window
-/// at `level`; returns the time to complete `target_insts` of work (relative
-/// to the snapshot) and the per-cluster scaling-window observations.
+/// §III.A work matching, shared by every branch of a breakpoint. Epoch `k`
+/// of the branch (1-based from the snapshot; matching starts at k = 2, the
+/// scaling window) moved its cumulative instruction count from `before` to
+/// `after`. Once that reaches `target_insts`, the reference horizon's work,
+/// returns T_f: the time from the snapshot until the branch completed it,
+/// interpolated linearly within epoch k.
+std::optional<double> matchedTimeNs(int k, std::int64_t before,
+                                    std::int64_t after,
+                                    std::int64_t target_insts,
+                                    TimeNs epoch_ns) {
+  if (after < target_insts) return std::nullopt;
+  const std::int64_t gained = after - before;
+  const double frac = gained > 0
+                          ? static_cast<double>(target_insts - before) /
+                                static_cast<double>(gained)
+                          : 1.0;
+  return static_cast<double>(static_cast<TimeNs>(k - 1) * epoch_ns) +
+         frac * static_cast<double>(epoch_ns);
+}
+
+/// One scaling level's branch of a breakpoint: the time to complete the
+/// reference work and the per-cluster scaling-window observations.
 struct ReplayOutcome {
   double t_f_ns = 0.0;
   bool valid = false;
-  GpuEpochReport feature_report;
   GpuEpochReport scaling_report;
 };
 
-ReplayOutcome replayHorizon(const Gpu& snapshot, VfLevel feature_level,
-                            VfLevel scaling_level, VfLevel default_level,
-                            std::int64_t target_insts, int horizon_epochs,
-                            int max_extra_epochs) {
+/// Branches the breakpoint's post-feature machine through the shared fork
+/// engine (copying into the fork is the §III.A snapshot, stepping it is the
+/// replay): the scaling window at `scaling_level`, then the default point
+/// until the branch has done `target_insts` of work or `budget` epochs.
+ReplayOutcome replayScaling(const Gpu& post_feature, VfLevel scaling_level,
+                            VfLevel default_level, std::int64_t target_insts,
+                            int budget) {
   ReplayOutcome out;
-  // Branch the snapshot through the shared fork engine: copying into the
-  // fork is the §III.A snapshot, stepping it is the replay.
-  engine::GpuFork rep(snapshot);
-  const TimeNs t_b = rep.nowNs();
+  engine::GpuFork rep(post_feature);
   const TimeNs epoch_ns = rep.config().epoch_ns;
-
-  out.feature_report = rep.stepUniform(feature_level);
+  std::int64_t before = rep.totalInstructions();
   out.scaling_report = rep.stepUniform(scaling_level);
-
-  std::int64_t insts = rep.totalInstructions();
-  TimeNs t_end = rep.nowNs();
-  if (insts >= target_insts) {
-    // The excursion was at (or effectively at) full speed: the work landed
-    // inside the scaling window. Interpolate within it.
-    const std::int64_t at_start =
-        insts - rep.lastEpochInstructions();
-    const double frac =
-        rep.lastEpochInstructions() > 0
-            ? static_cast<double>(target_insts - at_start) /
-                  static_cast<double>(rep.lastEpochInstructions())
-            : 1.0;
-    out.t_f_ns = static_cast<double>(t_end - epoch_ns - t_b) +
-                 frac * static_cast<double>(epoch_ns);
-    out.valid = true;
-    return out;
-  }
-
-  const int budget = horizon_epochs + max_extra_epochs;
-  for (int e = 2; e < budget; ++e) {
-    const std::int64_t before = insts;
-    rep.stepUniform(default_level);
-    insts = rep.totalInstructions();
-    t_end = rep.nowNs();
-    if (insts >= target_insts) {
-      const std::int64_t gained = insts - before;
-      const double frac =
-          gained > 0
-              ? static_cast<double>(target_insts - before) /
-                    static_cast<double>(gained)
-              : 1.0;
-      out.t_f_ns = static_cast<double>(t_end - epoch_ns - t_b) +
-                   frac * static_cast<double>(epoch_ns);
+  for (int k = 2;; ++k) {
+    if (const auto t_f = matchedTimeNs(k, before, rep.totalInstructions(),
+                                       target_insts, epoch_ns)) {
+      out.t_f_ns = *t_f;
       out.valid = true;
       return out;
     }
-    if (rep.allDone()) break;  // retired without reaching the target work
+    // Invalid: out of budget, or retired without reaching the target work.
+    if (k >= budget || rep.allDone()) return out;
+    before = rep.totalInstructions();
+    rep.stepUniform(default_level);
   }
-  return out;  // invalid: work could not be matched within the budget
+}
+
+/// The default level's branch is the reference pass itself (its scaling
+/// window ran at the default point), so its outcome comes from the pass's
+/// recorded cumulative instruction counts, `insts[k - 1]` after epoch k.
+ReplayOutcome referenceOutcome(std::span<const std::int64_t> insts,
+                               GpuEpochReport scaling_report,
+                               std::int64_t target_insts, TimeNs epoch_ns,
+                               int budget) {
+  ReplayOutcome out;
+  out.scaling_report = std::move(scaling_report);
+  for (int k = 2; k <= static_cast<int>(insts.size()); ++k) {
+    if (const auto t_f =
+            matchedTimeNs(k, insts[static_cast<std::size_t>(k - 2)],
+                          insts[static_cast<std::size_t>(k - 1)],
+                          target_insts, epoch_ns)) {
+      out.t_f_ns = *t_f;
+      out.valid = true;
+      return out;
+    }
+    if (k >= budget) return out;
+  }
+  return out;
 }
 
 }  // namespace
@@ -94,6 +108,7 @@ Dataset DataGenerator::generateForWorkload(const KernelProfile& kernel,
   const VfLevel default_level = vf_.defaultLevel();
   const int num_levels = static_cast<int>(vf_.size());
   const TimeNs epoch_ns = gpu_cfg_.epoch_ns;
+  const int budget = gen_.horizon_epochs + gen_.max_extra_epochs;
 
   // Feature-window level schedule: alternate ends of the table first
   // (default, min, next-to-default, …) so even a program with two or three
@@ -120,28 +135,41 @@ Dataset DataGenerator::generateForWorkload(const KernelProfile& kernel,
             : default_level;
     ++breakpoint_index;
 
-    // --- Reference pass: feature window at feature_level, then the rest of
-    // the horizon at the default point (scaling window = default). --------
-    engine::GpuFork ref(cursor.gpu());
-    ref.stepUniform(feature_level);
-    for (int e = 1; e < gen_.horizon_epochs; ++e)
+    // --- Feature window, simulated once: every branch below starts from
+    // the machine after it. -------------------------------------------------
+    engine::GpuFork feature(cursor.gpu());
+    const GpuEpochReport feature_report = feature.stepUniform(feature_level);
+
+    // --- Reference pass: the rest of the horizon at the default point
+    // (scaling window = default), recording the cumulative work per epoch.
+    engine::GpuFork ref(feature.gpu());
+    std::vector<std::int64_t> ref_insts{ref.totalInstructions()};
+    GpuEpochReport ref_scaling = ref.stepUniform(default_level);
+    ref_insts.push_back(ref.totalInstructions());
+    for (int e = 2; e < gen_.horizon_epochs; ++e) {
       ref.stepUniform(default_level);
+      ref_insts.push_back(ref.totalInstructions());
+    }
     if (ref.allDone()) break;  // not enough work left for a clean horizon
-    const std::int64_t target_insts = ref.totalInstructions();
+    const std::int64_t target_insts = ref_insts.back();
     const double t0_ns =
         static_cast<double>(gen_.horizon_epochs) *
         static_cast<double>(epoch_ns);
 
-    // --- One replay per operating point: each is an independent job (the
-    // snapshot is copied per replay), run on the pool when one is given.
-    // Rows are emitted below in level order either way, so parallel and
-    // serial datasets are identical.
+    // --- One branch per operating point. The default level's is the
+    // reference pass; every other level forks the post-feature machine as
+    // an independent job, run on the pool when one is given. Rows are
+    // emitted below in level order either way, so parallel and serial
+    // datasets are identical.
     std::vector<ReplayOutcome> replays(static_cast<std::size_t>(num_levels));
+    replays[static_cast<std::size_t>(default_level)] =
+        referenceOutcome(ref_insts, std::move(ref_scaling), target_insts,
+                         epoch_ns, budget);
     const auto replay_one = [&](std::size_t level) {
-      replays[level] = replayHorizon(
-          cursor.gpu(), feature_level, static_cast<VfLevel>(level),
-          default_level, target_insts, gen_.horizon_epochs,
-          gen_.max_extra_epochs);
+      if (static_cast<VfLevel>(level) == default_level) return;
+      replays[level] =
+          replayScaling(feature.gpu(), static_cast<VfLevel>(level),
+                        default_level, target_insts, budget);
     };
     if (pool != nullptr) {
       pool->parallelFor(static_cast<std::size_t>(num_levels), replay_one);
@@ -160,7 +188,7 @@ Dataset DataGenerator::generateForWorkload(const KernelProfile& kernel,
 
       for (int c = 0; c < gpu_cfg_.num_clusters; c += stride) {
         const auto& feat =
-            rep.feature_report.clusters[static_cast<std::size_t>(c)];
+            feature_report.clusters[static_cast<std::size_t>(c)];
         const auto& scal =
             rep.scaling_report.clusters[static_cast<std::size_t>(c)];
         if (feat.cluster_done) continue;  // no live work: nothing to learn

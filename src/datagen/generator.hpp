@@ -3,10 +3,12 @@
 // For each benchmark, executed at the default V/f point:
 //   * every ~100 µs a breakpoint snapshots the full simulator state;
 //   * a 10 µs feature-collection window runs at the default point and
-//     yields each cluster's 47 counters;
+//     yields each cluster's 47 counters — simulated once per breakpoint,
+//     since every branch below shares it;
 //   * the following 10 µs frequency-scaling window is replayed once per
-//     V/f level (the snapshot makes the replays bit-identical up to the
-//     excursion), recording each cluster's instruction count;
+//     V/f level from a snapshot of the post-feature machine (bit-identical
+//     up to the excursion), recording each cluster's instruction count.
+//     The default level's branch is the reference pass itself;
 //   * execution continues at the default point until the replay has
 //     completed the same work as the reference horizon (~100 µs), so
 //     delayed effects of the excursion are captured (the paper's reason
@@ -55,9 +57,9 @@ class DataGenerator {
   /// Runs the protocol for one workload (one execution at the given seed).
   /// `feature_phase` rotates the feature-window level schedule so repeated
   /// runs of a short program still cover every level (short programs have
-  /// few breakpoints). With a pool, each breakpoint's per-V/f replays run
-  /// as independent jobs; rows are still emitted in level order, so the
-  /// dataset is byte-identical to the serial result.
+  /// few breakpoints). With a pool, each breakpoint's non-default V/f
+  /// replays run as independent jobs; rows are still emitted in level
+  /// order, so the dataset is byte-identical to the serial result.
   [[nodiscard]] Dataset generateForWorkload(const KernelProfile& kernel,
                                             std::uint64_t seed,
                                             int feature_phase = 0,

@@ -21,6 +21,11 @@
 namespace ssm {
 namespace {
 
+// Serialized element sizes: the floors length prefixes are checked against
+// (ByteReader::count) before anything is reserved.
+constexpr std::size_t kVfPointBytes = 8 + 8;  // voltage, frequency
+constexpr std::size_t kPhaseBytes = 12 * 8 + 4;  // writeKernel's per-phase fields
+
 void writeRng(ByteWriter& w, const RngSnapshot& s) {
   for (std::uint64_t word : s.s) w.u64(word);
   w.f64(s.spare_gauss);
@@ -112,7 +117,7 @@ KernelProfile readKernel(ByteReader& r) {
   k.suite = r.str();
   k.warps_per_cluster = r.i32();
   k.phase_loops = r.i32();
-  const std::uint32_t phases = r.u32();
+  const std::uint32_t phases = r.count(kPhaseBytes);
   k.phases.reserve(phases);
   for (std::uint32_t i = 0; i < phases; ++i) {
     PhaseProfile p;
@@ -249,7 +254,7 @@ void Gpu::saveState(ByteWriter& w) const {
 
 Gpu Gpu::restoreState(ByteReader& r) {
   const GpuConfig cfg = readConfig(r);
-  const std::uint32_t vf_points = r.u32();
+  const std::uint32_t vf_points = r.count(kVfPointBytes);
   if (vf_points == 0)
     throw DataError("GPU snapshot has an empty V/f table");
   std::vector<VfPoint> points;
@@ -305,7 +310,7 @@ Gpu Gpu::restoreState(ByteReader& r) {
     tp.c_package = r.f64();
     gpu.attachThermal(tp);
     thermal::ThermalState ts;
-    const std::uint32_t nodes = r.u32();
+    const std::uint32_t nodes = r.count(sizeof(double));
     if (nodes != static_cast<std::uint32_t>(gpu.numClusters()))
       throw DataError(
           "GPU snapshot thermal node count does not match its config");

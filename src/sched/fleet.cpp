@@ -1,11 +1,12 @@
 #include "sched/fleet.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "baselines/flemma.hpp"
@@ -53,6 +54,17 @@ const std::string& workloadName(const SweepSpec& spec, const SweepJob& job) {
                           : spec.workloads[job.workload].name;
 }
 
+/// A fresh protection state machine for one run of the job's thermal cell
+/// (empty when the cell has no thermal physics).
+std::optional<thermal::ThermalThrottle> makeThrottle(const SweepSpec& spec,
+                                                     const SweepJob& job) {
+  const thermal::ThermalScenario& scenario = spec.thermal[job.thermal];
+  if (!scenario.enabled) return std::nullopt;
+  return std::make_optional<thermal::ThermalThrottle>(
+      scenario.throttle, spec.gpu.num_clusters,
+      static_cast<int>(spec.vf.defaultLevel()));
+}
+
 }  // namespace
 
 namespace {
@@ -94,8 +106,18 @@ std::unique_ptr<GovernorFactory> makeGovernorFactory(
   }
   if (mechanism == "ondemand") return std::make_unique<OndemandFactory>(vf);
   if (mechanism.rfind("static-", 0) == 0) {
-    const int level = std::atoi(mechanism.c_str() + 7);
-    return std::make_unique<StaticFactory>(vf.clamp(level));
+    // Only a plain decimal index into the table: a lenient parse would run
+    // some other level while every output row still carries this name.
+    const std::string_view digits = std::string_view(mechanism).substr(7);
+    int level = -1;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), level);
+    if (ec != std::errc{} || end != digits.data() + digits.size() ||
+        level < 0 || level >= static_cast<int>(vf.size()))
+      throw DataError("mechanism '" + mechanism +
+                      "': static level must be a decimal V/f level in 0-" +
+                      std::to_string(vf.size() - 1));
+    return std::make_unique<StaticFactory>(level);
   }
   throw DataError("unknown mechanism: " + mechanism);
 }
@@ -177,6 +199,13 @@ FleetRunner::FleetRunner(const SweepSpec& spec, ThreadPool& pool)
   // before any simulation time is spent.
   for (const auto& mech : spec_.mechanisms)
     static_cast<void>(makeGovernorFactory(mech, spec_.vf, 0.10, spec_.model));
+  // Group the cells by the coordinates their baseline depends on.
+  const std::size_t seeds = spec_.seeds.size();
+  const std::size_t temps = spec_.thermal.size();
+  keys_.resize((jobs_.back().workload + 1) * seeds * temps);
+  for (const SweepJob& job : jobs_)
+    keys_[(job.workload * seeds + job.seed) * temps + job.thermal].push_back(
+        job.index);
 }
 
 SweepResult FleetRunner::runReplayJob(const SweepJob& job) const {
@@ -220,109 +249,114 @@ SweepResult FleetRunner::runReplayJob(const SweepJob& job) const {
   return out;
 }
 
-SweepResult FleetRunner::runJob(const SweepJob& job) const {
-  if (replayMode(spec_)) return runReplayJob(job);
-  const KernelProfile& kernel = spec_.workloads[job.workload];
+SweepResult FleetRunner::runLiveCell(const SweepJob& job, const Gpu& machine,
+                                     const RunResult& baseline) const {
   const std::string& mech = spec_.mechanisms[job.mechanism];
-  const double preset = spec_.presets[job.preset];
-
-  Gpu machine(spec_.gpu, spec_.vf, kernel, job.sim_seed,
-              ChipPowerModel(spec_.gpu.num_clusters));
-
-  // An enabled thermal cell attaches physics to the machine BEFORE it is
-  // copied into the runs, so baseline and governed both integrate the RC
-  // network and leakage feedback. Each run gets its own throttle instance
-  // (the state machine is per-run, like the governors).
-  const thermal::ThermalScenario& scenario = spec_.thermal[job.thermal];
-  if (scenario.enabled) machine.attachThermal(scenario.params);
-  const int max_level = static_cast<int>(spec_.vf.defaultLevel());
-  std::optional<thermal::ThermalThrottle> baseline_throttle;
-  std::optional<thermal::ThermalThrottle> governed_throttle;
-  if (scenario.enabled) {
-    baseline_throttle.emplace(scenario.throttle, spec_.gpu.num_clusters,
-                              max_level);
-    governed_throttle.emplace(scenario.throttle, spec_.gpu.num_clusters,
-                              max_level);
-  }
-
   SweepResult out;
   out.job = job;
-  out.baseline = runBaseline(machine, spec_.max_time_ns,
-                             baseline_throttle ? &*baseline_throttle
-                                               : nullptr);
-  out.baseline.workload = kernel.name;
-
-  // Only the governed run sees faults: the baseline stays the clean
-  // reference that overshoot/EDP deltas are measured against. The injector
-  // seed is forked off the job's coordinates (never thread identity), so
-  // any --jobs value replays the same fault pattern.
-  const faults::FaultSpec& fault_spec = spec_.faults[job.fault];
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (fault_spec.active())
-    injector = std::make_unique<faults::FaultInjector>(
-        fault_spec,
-        Rng(job.sim_seed).fork(kFaultSeedSalt).fork(job.fault).nextU64());
-
-  const auto factory =
-      makeGovernorFactory(mech, spec_.vf, preset, spec_.model);
-  GovernorModeLog mode_log;
-  thermal::ThermalThrottle* throttle =
-      governed_throttle ? &*governed_throttle : nullptr;
-  if (factory != nullptr && spec_.harden) {
+  out.baseline = baseline;
+  const auto factory = makeGovernorFactory(
+      mech, spec_.vf, spec_.presets[job.preset], spec_.model);
+  if (factory == nullptr) {
+    // "baseline" has no governor: its governed run IS the key's baseline.
+    out.governed = baseline;
+  } else {
+    // Only the governed run sees faults: the baseline stays the clean
+    // reference that overshoot/EDP deltas are measured against. The
+    // injector seed is forked off the job's coordinates (never thread
+    // identity), so any --jobs value replays the same fault pattern.
+    const faults::FaultSpec& fault_spec = spec_.faults[job.fault];
+    std::unique_ptr<faults::FaultInjector> injector;
+    if (fault_spec.active())
+      injector = std::make_unique<faults::FaultInjector>(
+          fault_spec,
+          Rng(job.sim_seed).fork(kFaultSeedSalt).fork(job.fault).nextU64());
+    std::optional<thermal::ThermalThrottle> throttle = makeThrottle(spec_, job);
+    GovernorModeLog mode_log;
     const HardenedGovernorFactory hardened(*factory, spec_.vf,
                                            HardenedConfig{}, &mode_log);
-    out.governed = runWithGovernor(machine, hardened, mech, spec_.max_time_ns,
-                                   nullptr, injector.get(), throttle);
-  } else {
-    out.governed = factory ? runWithGovernor(machine, *factory, mech,
-                                             spec_.max_time_ns, nullptr,
-                                             injector.get(), throttle)
-                           : out.baseline;
+    const GovernorFactory& chosen =
+        spec_.harden ? static_cast<const GovernorFactory&>(hardened)
+                     : *factory;
+    out.governed = runWithGovernor(machine, chosen, mech, spec_.max_time_ns,
+                                   nullptr, injector.get(),
+                                   throttle ? &*throttle : nullptr);
+    out.governed.workload = baseline.workload;
+    if (injector != nullptr) out.fault_counts = injector->counts();
+    out.fallbacks = mode_log.fallbacks();
+    out.recoveries = mode_log.recoveries();
   }
-  out.governed.workload = kernel.name;
   out.governed.mechanism = mech;
   out.peak_temp_c = out.governed.peak_temp_c;
   out.throttle_epochs = out.governed.throttle_epochs;
-  if (injector != nullptr) out.fault_counts = injector->counts();
-  out.fallbacks = mode_log.fallbacks();
-  out.recoveries = mode_log.recoveries();
   return out;
+}
+
+void FleetRunner::execute(const CollectFn& collect,
+                          const ProgressFn& progress) const {
+  std::mutex mu;
+  std::size_t done = 0;
+  const auto finish = [&](SweepResult&& r) {
+    std::lock_guard<std::mutex> lk(mu);
+    collect(std::move(r));
+    ++done;
+    if (progress) progress(done, jobs_.size());
+  };
+  pool_.parallelFor(keys_.size(), [&](std::size_t k) {
+    const std::vector<std::size_t>& cells = keys_[k];
+    if (replayMode(spec_)) {
+      pool_.parallelFor(cells.size(), [&](std::size_t c) {
+        finish(runReplayJob(jobs_[cells[c]]));
+      });
+      return;
+    }
+    // The key's machine: thermal physics is attached BEFORE it is copied
+    // into the runs, so baseline and governed runs all integrate the RC
+    // network and leakage feedback.
+    const SweepJob& key = jobs_[cells.front()];
+    const KernelProfile& kernel = spec_.workloads[key.workload];
+    Gpu machine(spec_.gpu, spec_.vf, kernel, key.sim_seed,
+                ChipPowerModel(spec_.gpu.num_clusters));
+    const thermal::ThermalScenario& scenario = spec_.thermal[key.thermal];
+    if (scenario.enabled) machine.attachThermal(scenario.params);
+    std::optional<thermal::ThermalThrottle> throttle =
+        makeThrottle(spec_, key);
+    RunResult baseline = runBaseline(machine, spec_.max_time_ns,
+                                     throttle ? &*throttle : nullptr);
+    baseline.workload = kernel.name;
+    pool_.parallelFor(cells.size(), [&](std::size_t c) {
+      finish(runLiveCell(jobs_[cells[c]], machine, baseline));
+    });
+  });
 }
 
 std::vector<SweepResult> FleetRunner::run(const ProgressFn& progress) const {
   std::vector<SweepResult> results(jobs_.size());
-  std::mutex mu;
-  std::size_t done = 0;
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    SweepResult r = runJob(jobs_[i]);
-    std::lock_guard<std::mutex> lk(mu);
-    results[i] = std::move(r);
-    ++done;
-    if (progress) progress(done, jobs_.size());
-  });
+  execute(
+      [&](SweepResult&& r) {
+        const std::size_t i = r.job.index;
+        results[i] = std::move(r);
+      },
+      progress);
   return results;
 }
 
 std::size_t FleetRunner::runJsonl(std::ostream& os,
                                   const ProgressFn& progress) const {
   // Ordered streaming collector: lines buffer until their prefix is
-  // complete, then flush. Single writer (this mutex) touches `os`.
-  std::mutex mu;
+  // complete, then flush. Single writer (the collector lock) touches `os`.
   std::map<std::size_t, std::string> ready;
   std::size_t next = 0;
-  std::size_t done = 0;
-  pool_.parallelFor(jobs_.size(), [&](std::size_t i) {
-    std::string line = toJsonLine(spec_, runJob(jobs_[i]));
-    std::lock_guard<std::mutex> lk(mu);
-    ready.emplace(i, std::move(line));
-    while (!ready.empty() && ready.begin()->first == next) {
-      os << ready.begin()->second << '\n';
-      ready.erase(ready.begin());
-      ++next;
-    }
-    ++done;
-    if (progress) progress(done, jobs_.size());
-  });
+  execute(
+      [&](SweepResult&& r) {
+        ready.emplace(r.job.index, toJsonLine(spec_, r));
+        while (!ready.empty() && ready.begin()->first == next) {
+          os << ready.begin()->second << '\n';
+          ready.erase(ready.begin());
+          ++next;
+        }
+      },
+      progress);
   SSM_CHECK(next == jobs_.size(), "JSONL collector lost lines");
   return next;
 }

@@ -1,15 +1,18 @@
 // Fleet execution: sharded simulation sweeps on the work-stealing pool.
 //
 // A sweep is the cartesian product workload × mechanism × preset × seed ×
-// fault scenario — the shape of every §V experiment and of the ROADMAP's
-// production sweeps, plus the robustness matrix of bench_faults.
-// Each cell is one self-contained job: it builds its own Gpu, its own
-// governor factory and (when tracing) its own recorder, shares only
-// immutable inputs (VfTable, GpuConfig, a trained const SsmModel), and
-// derives its simulation seed from a deterministic Rng fork keyed on the
-// sweep coordinates — never on thread identity or completion order.
-// Results are therefore byte-identical for any --jobs value; only the
-// wall clock changes.
+// fault scenario × thermal scenario — the shape of every §V experiment and
+// of the ROADMAP's production sweeps, plus the robustness matrix of
+// bench_faults. Every cell is measured against the static-default baseline
+// run, which depends only on (workload, seed, thermal cell): the runner
+// simulates that baseline once per key and shares it with every cell of
+// the key, whose own governed runs are independent copies of the same
+// machine. Cells share only immutable inputs (VfTable, GpuConfig, a
+// trained const SsmModel, the key's machine and baseline) and derive their
+// simulation seed from a deterministic Rng fork keyed on the sweep
+// coordinates — never on thread identity or completion order. Results are
+// therefore byte-identical for any --jobs value; only the wall clock
+// changes.
 //
 // Output is ordered: the JSONL stream emits line j only after lines
 // 0..j-1, no matter which worker finished first.
@@ -87,16 +90,19 @@ struct SweepJob {
   std::size_t thermal = 0;
   /// Simulator seed: forked from the sweep seed by workload coordinate,
   /// so one (workload, seed) pair simulates identically under every
-  /// mechanism, preset, fault and thermal scenario (baselines line up
-  /// across the sweep and a faulted cell is comparable to its clean
-  /// sibling).
+  /// mechanism, preset, fault and thermal scenario (a faulted cell is
+  /// comparable to its clean sibling, and every cell of one
+  /// (workload, seed, thermal) key shares one baseline run).
   std::uint64_t sim_seed = 0;
 };
 
 struct SweepResult {
   SweepJob job;
-  /// Live mode: the fault-free static-default run. Replay mode: the
-  /// recorded run's RunResult (the reference the replay is measured against).
+  /// Live mode: the fault-free static-default run of the cell's
+  /// (workload, seed, thermal) key — simulated once, shared by the key's
+  /// cells; a "baseline"-mechanism cell reuses it as its governed run.
+  /// Replay mode: the recorded run's RunResult (the reference the replay
+  /// is measured against).
   RunResult baseline;
   RunResult governed;
   /// Injected-fault tally of the governed run (all zero for clean cells).
@@ -131,12 +137,14 @@ struct SweepResult {
 /// Builds the governor factory for a mechanism name (the `run`/`sweep`
 /// vocabulary: baseline, static-<L>, ssmdvfs, ssmdvfs-nocal, pcstall,
 /// flemma, ondemand). Returns nullptr for "baseline" (no governor);
-/// throws DataError for unknown names or a missing model.
+/// throws DataError for unknown names, a missing model, or a static level
+/// that is not a decimal index into `vf`.
 [[nodiscard]] std::unique_ptr<GovernorFactory> makeGovernorFactory(
     const std::string& mechanism, const VfTable& vf, double preset,
     const std::shared_ptr<const SsmModel>& model);
 
-/// Called under the collector lock as jobs complete, in completion order.
+/// Called under the collector lock once per cell as cells complete, in
+/// completion order.
 using ProgressFn = std::function<void(std::size_t done, std::size_t total)>;
 
 class FleetRunner {
@@ -158,12 +166,22 @@ class FleetRunner {
   }
 
  private:
-  [[nodiscard]] SweepResult runJob(const SweepJob& job) const;
+  /// Called under the collector lock with each finished cell.
+  using CollectFn = std::function<void(SweepResult&&)>;
+
+  /// The one scheduler behind run() and runJsonl(): one pool task per
+  /// (workload, seed, thermal) key produces the key's baseline, then fans
+  /// the key's cells out with a nested parallelFor.
+  void execute(const CollectFn& collect, const ProgressFn& progress) const;
+  [[nodiscard]] SweepResult runLiveCell(const SweepJob& job, const Gpu& machine,
+                                        const RunResult& baseline) const;
   [[nodiscard]] SweepResult runReplayJob(const SweepJob& job) const;
 
   const SweepSpec& spec_;
   ThreadPool& pool_;
   std::vector<SweepJob> jobs_;
+  /// Job indices per (workload, seed, thermal) key, in job-index order.
+  std::vector<std::vector<std::size_t>> keys_;
 };
 
 /// One compact JSON object (single line, no trailing newline) per result.

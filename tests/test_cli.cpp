@@ -267,6 +267,19 @@ TEST_F(CliTest, SweepCsvExportAndBadInputsFail) {
             0);
   // --out is required.
   EXPECT_NE(runCli("sweep --workloads spmv --mechanisms baseline", &out), 0);
+  // A static level must be a decimal index into the V/f table; the error
+  // names the valid range instead of silently running another level.
+  EXPECT_NE(runCli("sweep --workloads spmv --mechanisms static-abc --out " +
+                       jsonl,
+                   &out),
+            0);
+  EXPECT_NE(out.find("static-abc"), std::string::npos) << out;
+  EXPECT_NE(out.find("0-5"), std::string::npos) << out;
+  EXPECT_NE(runCli("sweep --workloads spmv --mechanisms static-99 --out " +
+                       jsonl,
+                   &out),
+            0);
+  EXPECT_NE(out.find("0-5"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, DcSweepByteIdenticalAndSingleRunReportsHeadlines) {

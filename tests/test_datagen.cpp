@@ -2,6 +2,7 @@
 // round trip, and the generator's protocol invariants on a small GPU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include "datagen/cache.hpp"
 #include "datagen/corpus_stats.hpp"
 #include "datagen/generator.hpp"
+#include "engine/fork.hpp"
+#include "sched/thread_pool.hpp"
 #include "workloads/kernel_profile.hpp"
 
 namespace ssm {
@@ -306,6 +309,192 @@ TEST(CorpusStats, RejectsOutOfRangeLabels) {
   Dataset ds;
   ds.add(makePoint("w", 7, 0.1, 1.0));
   EXPECT_THROW(static_cast<void>(computeCorpusStats(ds, 6)), ContractError);
+}
+
+/// Reference: a transcription of the protocol before the feature window
+/// was shared, in which every V/f level (the default one included) and the
+/// reference pass each re-simulated the whole horizon from the breakpoint.
+/// Counts the breakpoints whose reference pass retired inside the horizon
+/// and the level replays that could not match the reference work.
+struct ReferenceRun {
+  Dataset data;
+  int retired_in_horizon = 0;
+  int invalid_replays = 0;
+};
+
+struct ReferenceReplay {
+  double t_f_ns = 0.0;
+  bool valid = false;
+  GpuEpochReport feature_report;
+  GpuEpochReport scaling_report;
+};
+
+ReferenceReplay referenceReplay(const Gpu& snapshot, VfLevel feature_level,
+                                VfLevel scaling_level, VfLevel default_level,
+                                std::int64_t target_insts, int horizon_epochs,
+                                int max_extra_epochs) {
+  ReferenceReplay out;
+  engine::GpuFork rep(snapshot);
+  const TimeNs t_b = rep.nowNs();
+  const TimeNs epoch_ns = rep.config().epoch_ns;
+  out.feature_report = rep.stepUniform(feature_level);
+  out.scaling_report = rep.stepUniform(scaling_level);
+  std::int64_t insts = rep.totalInstructions();
+  TimeNs t_end = rep.nowNs();
+  if (insts >= target_insts) {
+    const std::int64_t at_start = insts - rep.lastEpochInstructions();
+    const double frac =
+        rep.lastEpochInstructions() > 0
+            ? static_cast<double>(target_insts - at_start) /
+                  static_cast<double>(rep.lastEpochInstructions())
+            : 1.0;
+    out.t_f_ns = static_cast<double>(t_end - epoch_ns - t_b) +
+                 frac * static_cast<double>(epoch_ns);
+    out.valid = true;
+    return out;
+  }
+  const int budget = horizon_epochs + max_extra_epochs;
+  for (int e = 2; e < budget; ++e) {
+    const std::int64_t before = insts;
+    rep.stepUniform(default_level);
+    insts = rep.totalInstructions();
+    t_end = rep.nowNs();
+    if (insts >= target_insts) {
+      const std::int64_t gained = insts - before;
+      const double frac =
+          gained > 0 ? static_cast<double>(target_insts - before) /
+                           static_cast<double>(gained)
+                     : 1.0;
+      out.t_f_ns = static_cast<double>(t_end - epoch_ns - t_b) +
+                   frac * static_cast<double>(epoch_ns);
+      out.valid = true;
+      return out;
+    }
+    if (rep.allDone()) break;
+  }
+  return out;
+}
+
+ReferenceRun referenceGenerate(const GpuConfig& gpu_cfg, const VfTable& vf,
+                               const GenConfig& gen,
+                               const KernelProfile& kernel,
+                               std::uint64_t seed, int feature_phase) {
+  ReferenceRun out;
+  const VfLevel default_level = vf.defaultLevel();
+  const int num_levels = static_cast<int>(vf.size());
+  const TimeNs epoch_ns = gpu_cfg.epoch_ns;
+  std::vector<VfLevel> level_order;
+  for (int i = 0; i < num_levels; ++i)
+    level_order.push_back(i % 2 == 0 ? num_levels - 1 - i / 2 : i / 2);
+  engine::GpuFork cursor(Gpu(gpu_cfg, vf, kernel, seed,
+                             ChipPowerModel(gpu_cfg.num_clusters)));
+  const int stride =
+      std::max(1, gpu_cfg.num_clusters / std::max(1, gen.clusters_sampled));
+  int breakpoint_index = 0;
+  while (!cursor.allDone() && cursor.nowNs() < gen.max_program_ns) {
+    const VfLevel feature_level =
+        gen.vary_feature_level
+            ? level_order[static_cast<std::size_t>(
+                  (breakpoint_index + feature_phase) % num_levels)]
+            : default_level;
+    ++breakpoint_index;
+    engine::GpuFork ref(cursor.gpu());
+    ref.stepUniform(feature_level);
+    for (int e = 1; e < gen.horizon_epochs; ++e)
+      ref.stepUniform(default_level);
+    if (ref.allDone()) {
+      ++out.retired_in_horizon;
+      break;
+    }
+    const std::int64_t target_insts = ref.totalInstructions();
+    const double t0_ns = static_cast<double>(gen.horizon_epochs) *
+                         static_cast<double>(epoch_ns);
+    for (int level = 0; level < num_levels; ++level) {
+      const ReferenceReplay rep = referenceReplay(
+          cursor.gpu(), feature_level, level, default_level, target_insts,
+          gen.horizon_epochs, gen.max_extra_epochs);
+      if (!rep.valid) {
+        ++out.invalid_replays;
+        continue;
+      }
+      const double loss = std::max(
+          0.0, (rep.t_f_ns - t0_ns) / static_cast<double>(epoch_ns));
+      for (int c = 0; c < gpu_cfg.num_clusters; c += stride) {
+        const auto& feat =
+            rep.feature_report.clusters[static_cast<std::size_t>(c)];
+        const auto& scal =
+            rep.scaling_report.clusters[static_cast<std::size_t>(c)];
+        if (feat.cluster_done) continue;
+        DataPoint p;
+        const auto raw = feat.counters.raw();
+        std::copy(raw.begin(), raw.end(), p.counters.begin());
+        p.perf_loss = loss;
+        p.level = level;
+        p.insts_k = static_cast<double>(scal.instructions) / 1000.0;
+        p.workload = kernel.name;
+        out.data.add(std::move(p));
+      }
+    }
+    for (int e = 0; e < gen.epochs_per_breakpoint && !cursor.allDone(); ++e)
+      cursor.stepUniform(default_level);
+  }
+  return out;
+}
+
+void expectSameCorpus(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const DataPoint& a = got.points()[i];
+    const DataPoint& b = want.points()[i];
+    EXPECT_EQ(a.workload, b.workload) << i;
+    EXPECT_EQ(a.level, b.level) << i;
+    EXPECT_EQ(a.perf_loss, b.perf_loss) << i;  // bitwise, not approximate
+    EXPECT_EQ(a.insts_k, b.insts_k) << i;
+    EXPECT_EQ(a.counters, b.counters) << i;
+  }
+}
+
+TEST(Generator, SharedFeatureWindowMatchesPerLevelReference) {
+  const VfTable vf = VfTable::titanX();
+  struct Case {
+    const char* workload;
+    bool vary_feature_level;
+    int max_extra_epochs;
+    int feature_phase;
+    TimeNs max_program_ns;
+  };
+  int retired = 0;
+  int invalid = 0;
+  for (const Case& c : {Case{"spmv", true, 24, 0, 3 * kNsPerMs},
+                        Case{"spmv", false, 24, 0, 3 * kNsPerMs},
+                        Case{"sgemm", true, 0, 1, kNsPerMs / 2},
+                        Case{"sgemm", false, 0, 2, kNsPerMs / 2}}) {
+    SCOPED_TRACE(std::string(c.workload) + " vary=" +
+                 std::to_string(c.vary_feature_level) +
+                 " extra=" + std::to_string(c.max_extra_epochs));
+    GenConfig gen = tinyGen();
+    gen.vary_feature_level = c.vary_feature_level;
+    gen.max_extra_epochs = c.max_extra_epochs;
+    gen.max_program_ns = c.max_program_ns;
+    const DataGenerator dg(tinyGpu(), vf, gen);
+    const KernelProfile& kernel = workloadByName(c.workload);
+    const ReferenceRun want =
+        referenceGenerate(tinyGpu(), vf, gen, kernel, 11, c.feature_phase);
+    ASSERT_FALSE(want.data.empty());
+    expectSameCorpus(dg.generateForWorkload(kernel, 11, c.feature_phase),
+                     want.data);
+    ThreadPool pool(4);
+    expectSameCorpus(
+        dg.generateForWorkload(kernel, 11, c.feature_phase, &pool),
+        want.data);
+    retired += want.retired_in_horizon;
+    invalid += want.invalid_replays;
+  }
+  // The cases reach the protocol's two early exits: a program retiring
+  // inside a reference horizon, and low-level replays that cannot match
+  // the reference work within a zero extra-epoch budget.
+  EXPECT_GT(retired, 0);
+  EXPECT_GT(invalid, 0);
 }
 
 TEST(Generator, FeatureLevelScheduleCoversTable) {

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -752,6 +754,22 @@ TEST(ForkResim, MalformedSnapshotBlobsAreDataErrors) {
                    std::string_view(blob).substr(0, blob.size() / 2))),
                DataError);
   EXPECT_THROW(static_cast<void>(deserializeGpu(blob + "x")), DataError);
+
+  // A length prefix the blob cannot hold — here the V/f point count, found
+  // by its value followed by the first point's voltage — is a DataError,
+  // not a multi-gigabyte reserve().
+  const VfTable vf = VfTable::titanX();
+  const auto points = static_cast<std::uint32_t>(vf.size());
+  const double v0 = vf.points().front().voltage_v;
+  std::string needle(sizeof points + sizeof v0, '\0');
+  std::memcpy(needle.data(), &points, sizeof points);
+  std::memcpy(needle.data() + sizeof points, &v0, sizeof v0);
+  const std::size_t at = blob.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  std::string inflated = blob;
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(inflated.data() + at, &huge, sizeof huge);
+  EXPECT_THROW(static_cast<void>(deserializeGpu(inflated)), DataError);
 }
 
 TEST(ForkResim, WindowedAdvanceEqualsOneLongRun) {

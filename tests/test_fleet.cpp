@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "baselines/ondemand.hpp"
 #include "baselines/pcstall.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "compress/pruning.hpp"
 #include "datagen/generator.hpp"
 #include "engine/epoch_loop.hpp"
@@ -22,6 +24,7 @@
 #include "gpusim/trace.hpp"
 #include "sched/fleet.hpp"
 #include "sched/thread_pool.hpp"
+#include "thermal/thermal_throttle.hpp"
 #include "workloads/kernel_profile.hpp"
 
 namespace ssm {
@@ -82,6 +85,19 @@ TEST(FleetFactory, MechanismVocabulary) {
   EXPECT_THROW(static_cast<void>(
                    fleet::makeGovernorFactory("ssmdvfs", vf, 0.1, nullptr)),
                DataError);
+  // static-<L> takes exactly a decimal level inside the table.
+  EXPECT_NE(fleet::makeGovernorFactory("static-0", vf, 0.1, nullptr), nullptr);
+  EXPECT_NE(fleet::makeGovernorFactory("static-5", vf, 0.1, nullptr), nullptr);
+  for (const char* bad : {"static-abc", "static-99", "static-6", "static--1",
+                          "static-", "static-2x", "static- 2", "static-+2"}) {
+    try {
+      static_cast<void>(fleet::makeGovernorFactory(bad, vf, 0.1, nullptr));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("0-5"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(FleetRunner, JsonlByteIdenticalAcrossJobCounts) {
@@ -181,6 +197,133 @@ TEST(FleetRunner, RunMatchesJsonlAndReportsProgress) {
   std::ostringstream streamed;
   static_cast<void>(runner.runJsonl(streamed));
   EXPECT_EQ(direct.str(), streamed.str());
+}
+
+/// Per-cell reference: a transcription of the runner before baselines were
+/// shared, where every cell simulated its own baseline next to its governed
+/// run (the hardening branch is left out; the spec below does not harden).
+fleet::SweepResult referenceCell(const fleet::SweepSpec& spec,
+                                 const fleet::SweepJob& job) {
+  const KernelProfile& kernel = spec.workloads[job.workload];
+  const std::string& mech = spec.mechanisms[job.mechanism];
+  Gpu machine(spec.gpu, spec.vf, kernel, job.sim_seed,
+              ChipPowerModel(spec.gpu.num_clusters));
+  const thermal::ThermalScenario& scenario = spec.thermal[job.thermal];
+  if (scenario.enabled) machine.attachThermal(scenario.params);
+  const int max_level = static_cast<int>(spec.vf.defaultLevel());
+  std::optional<thermal::ThermalThrottle> baseline_throttle;
+  std::optional<thermal::ThermalThrottle> governed_throttle;
+  if (scenario.enabled) {
+    baseline_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
+                              max_level);
+    governed_throttle.emplace(scenario.throttle, spec.gpu.num_clusters,
+                              max_level);
+  }
+  fleet::SweepResult out;
+  out.job = job;
+  out.baseline = runBaseline(machine, spec.max_time_ns,
+                             baseline_throttle ? &*baseline_throttle : nullptr);
+  out.baseline.workload = kernel.name;
+  const faults::FaultSpec& fault_spec = spec.faults[job.fault];
+  std::unique_ptr<faults::FaultInjector> injector;
+  if (fault_spec.active())
+    injector = std::make_unique<faults::FaultInjector>(
+        fault_spec, Rng(job.sim_seed).fork(0xFA17).fork(job.fault).nextU64());
+  const auto factory = fleet::makeGovernorFactory(
+      mech, spec.vf, spec.presets[job.preset], spec.model);
+  out.governed = factory ? runWithGovernor(machine, *factory, mech,
+                                           spec.max_time_ns, nullptr,
+                                           injector.get(),
+                                           governed_throttle
+                                               ? &*governed_throttle
+                                               : nullptr)
+                         : out.baseline;
+  out.governed.workload = kernel.name;
+  out.governed.mechanism = mech;
+  out.peak_temp_c = out.governed.peak_temp_c;
+  out.throttle_epochs = out.governed.throttle_epochs;
+  if (injector != nullptr) out.fault_counts = injector->counts();
+  return out;
+}
+
+void expectSameRun(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.mechanism, b.mechanism);
+  EXPECT_EQ(a.exec_time_ns, b.exec_time_ns);
+  EXPECT_EQ(a.energy_j, b.energy_j);  // bitwise, not approximate
+  EXPECT_EQ(a.edp, b.edp);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.epochs, b.epochs);
+  EXPECT_EQ(a.mean_power_w, b.mean_power_w);
+  EXPECT_EQ(a.level_histogram, b.level_histogram);
+  EXPECT_EQ(a.peak_temp_c, b.peak_temp_c);
+  EXPECT_EQ(a.throttle_epochs, b.throttle_epochs);
+}
+
+TEST(FleetRunner, SharedBaselinesMatchPerCellReference) {
+  // Every axis the baseline sharing must respect: cells of one
+  // (workload, seed, thermal) key share a baseline across mechanisms,
+  // presets and faults, and never across seeds or thermal cells.
+  fleet::SweepSpec spec;
+  spec.workloads = {workloadByName("spmv")};
+  spec.mechanisms = {"baseline", "pcstall", "ondemand"};
+  spec.presets = {0.10, 0.20};
+  spec.seeds = {777, 1234};
+  spec.faults = {faults::FaultSpec{},
+                 faults::FaultSpec::parse("noise:p=0.5,sigma=0.3")};
+  spec.thermal = {thermal::ThermalScenario{},
+                  thermal::ThermalScenario::parse(
+                      "amb=45,trip=50,ptrip=48,hyst=2")};
+  spec.gpu.num_clusters = 2;
+
+  const std::vector<fleet::SweepJob> jobs = fleet::expandJobs(spec);
+  ASSERT_EQ(jobs.size(), 48u);
+  std::vector<fleet::SweepResult> want;
+  std::string want_jsonl;
+  for (const auto& job : jobs) {
+    want.push_back(referenceCell(spec, job));
+    want_jsonl += fleet::toJsonLine(spec, want.back()) + '\n';
+  }
+  // The sweep exercises what it claims to: faults fire and heat throttles.
+  std::int64_t injected = 0;
+  int throttled = 0;
+  for (const auto& r : want) {
+    injected += r.fault_counts.total();
+    throttled += r.throttle_epochs;
+  }
+  EXPECT_GT(injected, 0);
+  EXPECT_GT(throttled, 0);
+
+  for (const int jobs_count : {1, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs_count));
+    ThreadPool pool(jobs_count);
+    const fleet::FleetRunner runner(spec, pool);
+    std::vector<std::size_t> progress;
+    const auto got = runner.run([&](std::size_t done, std::size_t total) {
+      EXPECT_EQ(total, jobs.size());
+      progress.push_back(done);
+    });
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(progress.size(), jobs.size());  // once per cell
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("cell " + std::to_string(i));
+      EXPECT_EQ(progress[i], i + 1);
+      EXPECT_EQ(got[i].job.index, i);
+      expectSameRun(got[i].baseline, want[i].baseline);
+      expectSameRun(got[i].governed, want[i].governed);
+      EXPECT_EQ(got[i].fault_counts, want[i].fault_counts);
+      EXPECT_EQ(got[i].peak_temp_c, want[i].peak_temp_c);
+      EXPECT_EQ(got[i].throttle_epochs, want[i].throttle_epochs);
+    }
+    std::ostringstream os;
+    std::size_t lines_progress = 0;
+    EXPECT_EQ(runner.runJsonl(os, [&](std::size_t, std::size_t) {
+      ++lines_progress;
+    }),
+              jobs.size());
+    EXPECT_EQ(lines_progress, jobs.size());
+    EXPECT_EQ(os.str(), want_jsonl);
+  }
 }
 
 TEST(FleetRunner, UnknownMechanismFailsFastAtConstruction) {
