@@ -116,8 +116,6 @@ void BM_PackedInference(benchmark::State& state, bool compressed,
   }
   state.counters["flops_executed"] =
       static_cast<double>(packed.flopsExecuted());
-  state.counters["sparse_layers"] =
-      static_cast<double>(packed.sparseLayerCount());
 }
 BENCHMARK_CAPTURE(BM_PackedInference, uncompressed, false, false);
 BENCHMARK_CAPTURE(BM_PackedInference, compressed, true, false);
@@ -317,10 +315,11 @@ void writeInferenceReport(const std::string& path) {
   // Mlp::forward — dense matvecs through every stored weight, one heap
   // allocation per layer, softmax — plus argmax, while the deployed
   // decision runs the (0.6, 0.9)-pruned model through
-  // PackedMlp::predictClass, which walks only stored non-zeros, never
-  // allocates, and skips the softmax (argmax over logits equals argmax
-  // over probabilities). Same-engine/same-model contrasts are reported
-  // alongside so each factor is visible on its own.
+  // PackedMlp::predictClass, which walks each layer's compiled layout
+  // (4-lane dense panels for this model), never allocates, and skips the
+  // softmax (argmax over logits equals argmax over probabilities).
+  // Same-engine/same-model contrasts are reported alongside so each factor
+  // is visible on its own.
   const double reference_dense_decide_ns = bestNsPerOp(
       [&] { benchmark::DoNotOptimize(dense_net.predictClass(input)); }, kOps,
       kRepeats);
@@ -463,7 +462,6 @@ void writeInferenceReport(const std::string& path) {
      << "  \"flops_dense\": " << net.denseFlops() << ",\n"
      << "  \"flops_masked\": " << net.flops() << ",\n"
      << "  \"flops_executed\": " << packed.flopsExecuted() << ",\n"
-     << "  \"sparse_layers\": " << packed.sparseLayerCount() << ",\n"
      << "  \"layers\": " << packed.layerCount() << "\n"
      << "}\n";
   std::cout << "wrote " << path << " (single-decision speedup, packed "

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 #include "common/rng.hpp"
 
 namespace ssm::dc {
@@ -16,53 +15,24 @@ namespace {
 constexpr std::uint64_t kArrivalSalt = 0xDC00;
 constexpr std::uint64_t kShapeSalt = 0xDC01;
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t at = s.find(sep, start);
-    if (at == std::string_view::npos) at = s.size();
-    if (at > start) out.push_back(s.substr(start, at - start));
-    start = at + 1;
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
-
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --traffic spec: " + what);
 }
 
 double parseDouble(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
-  return d;
+  const std::optional<double> d = toDouble(value);
+  if (!d)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not a number");
+  return *d;
 }
 
 std::int64_t parseInt(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const std::int64_t i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not an integer");
-  return i;
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  const std::optional<std::int64_t> i = toInt64(value);
+  if (!i)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not an integer");
+  return *i;
 }
 
 const char* shapeName(TrafficSpec::Shape s) {
@@ -114,15 +84,15 @@ void TrafficSpec::validate() const {
   if (jobs < 1 || jobs > 1'000'000)
     specError("jobs must be in [1, 1e6], got " + std::to_string(jobs));
   if (!(rate_per_ms > 0.0))
-    specError("rate must be > 0, got " + num(rate_per_ms));
+    specError("rate must be > 0, got " + formatDouble(rate_per_ms));
   if (!(slack >= 1.0))
-    specError("slack must be >= 1, got " + num(slack));
+    specError("slack must be >= 1, got " + formatDouble(slack));
   if (!(burst >= 1.0))
-    specError("burst must be >= 1, got " + num(burst));
+    specError("burst must be >= 1, got " + formatDouble(burst));
   if (!(duty > 0.0) || !(duty < 1.0))
-    specError("duty must be in (0,1), got " + num(duty));
+    specError("duty must be in (0,1), got " + formatDouble(duty));
   if (!(period_ms > 0.0))
-    specError("period must be > 0, got " + num(period_ms));
+    specError("period must be > 0, got " + formatDouble(period_ms));
   if (priorities < 1 || priorities > 16)
     specError("prio must be in [1,16], got " + std::to_string(priorities));
 }
@@ -173,12 +143,12 @@ TrafficSpec TrafficSpec::parse(std::string_view text) {
 std::string TrafficSpec::print() const {
   std::string out = std::string("shape=") + shapeName(shape);
   out += ";jobs=" + std::to_string(jobs);
-  out += ";rate=" + num(rate_per_ms);
-  out += ";slack=" + num(slack);
+  out += ";rate=" + formatDouble(rate_per_ms);
+  out += ";slack=" + formatDouble(slack);
   if (shape == Shape::kBursty || shape == Shape::kAdversarial)
-    out += ";burst=" + num(burst);
-  if (shape == Shape::kBursty) out += ";duty=" + num(duty);
-  if (shape != Shape::kSteady) out += ";period=" + num(period_ms);
+    out += ";burst=" + formatDouble(burst);
+  if (shape == Shape::kBursty) out += ";duty=" + formatDouble(duty);
+  if (shape != Shape::kSteady) out += ";period=" + formatDouble(period_ms);
   out += ";prio=" + std::to_string(priorities);
   return out;
 }

@@ -1,35 +1,13 @@
 #include "faults/fault_spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 
 namespace ssm::faults {
 
 namespace {
-
-/// Splits `s` on `sep`; empty tokens are dropped.
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t at = s.find(sep, start);
-    if (at == std::string_view::npos) at = s.size();
-    if (at > start) out.push_back(s.substr(start, at - start));
-    start = at + 1;
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
 
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --faults spec: " + what);
@@ -37,24 +15,20 @@ std::string_view trim(std::string_view s) {
 
 double parseDouble(std::string_view clause, std::string_view key,
                    std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(clause) + "." + std::string(key) + "='" + v +
-         "' is not a number");
-  return d;
+  const std::optional<double> d = toDouble(value);
+  if (!d)
+    specError(std::string(clause) + "." + std::string(key) + "='" +
+              std::string(value) + "' is not a number");
+  return *d;
 }
 
 std::int64_t parseInt(std::string_view clause, std::string_view key,
                       std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const std::int64_t i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(clause) + "." + std::string(key) + "='" + v +
-         "' is not an integer");
-  return i;
+  const std::optional<std::int64_t> i = toInt64(value);
+  if (!i)
+    specError(std::string(clause) + "." + std::string(key) + "='" +
+              std::string(value) + "' is not an integer");
+  return *i;
 }
 
 double parseProb(std::string_view clause, std::string_view key,
@@ -98,13 +72,6 @@ std::vector<KeyValue> parseBody(std::string_view clause,
 [[noreturn]] void unknownKey(std::string_view clause, std::string_view key) {
   specError("unknown key '" + std::string(key) + "' in clause '" +
        std::string(clause) + "'");
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -257,32 +224,36 @@ std::string FaultSpec::print() const {
     out += text;
   };
   if (noise.p > 0.0)
-    clause("noise:p=" + num(noise.p) + ",sigma=" + num(noise.sigma) +
-           ",bias=" + num(noise.bias));
+    clause("noise:p=" + formatDouble(noise.p) +
+           ",sigma=" + formatDouble(noise.sigma) +
+           ",bias=" + formatDouble(noise.bias));
   if (dropout.p > 0.0)
-    clause("dropout:p=" + num(dropout.p) +
+    clause("dropout:p=" + formatDouble(dropout.p) +
            ",mode=" + (dropout.stale ? "stale" : "zero"));
   if (delay.p > 0.0)
-    clause("delay:p=" + num(delay.p) + ",k=" + std::to_string(delay.k));
-  if (fail.p > 0.0) clause("fail:p=" + num(fail.p));
+    clause("delay:p=" + formatDouble(delay.p) +
+           ",k=" + std::to_string(delay.k));
+  if (fail.p > 0.0) clause("fail:p=" + formatDouble(fail.p));
   if (stuck.p > 0.0)
-    clause("stuck:p=" + num(stuck.p) +
+    clause("stuck:p=" + formatDouble(stuck.p) +
            ",epochs=" + std::to_string(stuck.epochs));
   if (jitter.p > 0.0)
-    clause("jitter:p=" + num(jitter.p) + ",frac=" + num(jitter.frac));
+    clause("jitter:p=" + formatDouble(jitter.p) +
+           ",frac=" + formatDouble(jitter.frac));
   if (heatsoak.add_c > 0.0)
-    clause("heatsoak:add=" + num(heatsoak.add_c) +
+    clause("heatsoak:add=" + formatDouble(heatsoak.add_c) +
            ",ramp=" + std::to_string(heatsoak.ramp));
   if (tsensor.p > 0.0) {
     const char* mode = tsensor.mode == ThermalSensorFault::Mode::kLag ? "lag"
                        : tsensor.mode == ThermalSensorFault::Mode::kStuck
                            ? "stuck"
                            : "drop";
-    clause("tsensor:p=" + num(tsensor.p) + ",mode=" + mode +
+    clause("tsensor:p=" + formatDouble(tsensor.p) + ",mode=" + mode +
            ",k=" + std::to_string(tsensor.k));
   }
   if (tjolt.p > 0.0)
-    clause("tjolt:p=" + num(tjolt.p) + ",amp=" + num(tjolt.amp_c));
+    clause("tjolt:p=" + formatDouble(tjolt.p) +
+           ",amp=" + formatDouble(tjolt.amp_c));
   if (active() && window != FaultWindow{}) {
     std::string w = "window:start=" + std::to_string(window.start);
     if (window.end != FaultWindow::kNoEnd)

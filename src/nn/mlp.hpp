@@ -85,7 +85,7 @@ class Mlp {
 
   /// FLOPs a dense (mask-blind) forward pass executes: 2 per weight slot +
   /// 1 per bias + 1 per hidden ReLU, pruned or not. flops() / denseFlops()
-  /// is the compute fraction the packed engine's CSR lowering can recover.
+  /// is the compute fraction the packed engine's SELL-4 lowering can recover.
   [[nodiscard]] std::int64_t denseFlops() const noexcept;
 
   /// Total (unmasked) parameter count.

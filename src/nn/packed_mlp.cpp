@@ -3,13 +3,15 @@
 // a designated `hot-path-alloc` file for ssm_lint.
 #include "nn/packed_mlp.hpp"
 
+#include <numeric>
+
 #include "nn/quantize.hpp"
 
 namespace ssm {
 
 void PackedMlp::packLayer(std::span<const double> weights,
                           std::span<const double> bias, int in_dim,
-                          int out_dim, double density_threshold) {
+                          int out_dim) {
   SSM_CHECK(in_dim > 0 && out_dim > 0, "layer dims must be positive");
   SSM_CHECK(weights.size() == static_cast<std::size_t>(in_dim) *
                                   static_cast<std::size_t>(out_dim),
@@ -17,137 +19,99 @@ void PackedMlp::packLayer(std::span<const double> weights,
   SSM_CHECK(bias.size() == static_cast<std::size_t>(out_dim),
             "bias count mismatch");
 
-  // Density over *stored* values: applyMask() forces pruned weights to
-  // exactly 0.0, so exact zeros are precisely the terms a dense matvec
-  // would add as no-ops and CSR may skip without changing the result.
-  std::size_t nnz = 0;
-  for (double w : weights) nnz += (w != 0.0);
-  const double density = static_cast<double>(nnz) /
-                         static_cast<double>(weights.size());
-
-  Layer l;
-  l.in = in_dim;
-  l.out = out_dim;
-  l.sparse = density < density_threshold;
-  l.bias_off = bias_.size();
-  bias_.insert(bias_.end(), bias.begin(), bias.end());
-
-  if (l.sparse) {
-    l.val_off = csr_vals_.size();
-    l.rowptr_off = csr_rowptr_.size();
-    csr_vals_.reserve(csr_vals_.size() + nnz);
-    csr_cols_.reserve(csr_cols_.size() + nnz);
-    csr_rowptr_.reserve(csr_rowptr_.size() +
-                        static_cast<std::size_t>(out_dim) + 1);
-    std::int32_t count = 0;
-    csr_rowptr_.push_back(0);
-    for (int o = 0; o < out_dim; ++o) {
-      const double* row = weights.data() + static_cast<std::size_t>(o) *
-                                               static_cast<std::size_t>(in_dim);
-      for (int i = 0; i < in_dim; ++i) {
-        if (row[i] != 0.0) {
-          csr_vals_.push_back(row[i]);
-          csr_cols_.push_back(i);
-          ++count;
-        }
-      }
-      csr_rowptr_.push_back(count);
-    }
-  } else {
-    l.w_off = dense_w_.size();
-    dense_w_.insert(dense_w_.end(), weights.begin(), weights.end());
-  }
-
-  // SIMD layouts. Built unconditionally (a few KB for deployed models) so
-  // a tier override can take effect without repacking and the layouts stay
-  // covered on every platform.
   const int ngroups = (out_dim + 3) / 4;
-  l.bbias_off = blk_bias_.size();
-  for (int o = 0; o < 4 * ngroups; ++o)
-    blk_bias_.push_back(o < out_dim ? bias[static_cast<std::size_t>(o)] : 0.0);
-
+  const auto padded_out = static_cast<std::size_t>(4 * ngroups);
   const auto rowAt = [&](int o) {
     return weights.data() +
            static_cast<std::size_t>(o) * static_cast<std::size_t>(in_dim);
   };
-  // Blocked-interleaved dense panels: for each 4-row output block, the
-  // panel stores in_dim groups of 4 lane weights (tail rows zero-padded)
-  // so the kernel streams one contiguous buffer per block. Built for every
-  // layer: sparse-classified layers fall back to it when the SELL cost
-  // model below says gathers would not pay.
-  l.blk_off = blk_w_.size();
-  blk_w_.reserve(blk_w_.size() + static_cast<std::size_t>(4 * ngroups) *
-                                     static_cast<std::size_t>(in_dim));
-  for (int g = 0; g < ngroups; ++g)
-    for (int i = 0; i < in_dim; ++i)
-      for (int lane = 0; lane < 4; ++lane) {
-        const int o = 4 * g + lane;
-        blk_w_.push_back(o < out_dim ? rowAt(o)[i] : 0.0);
-      }
 
-  if (l.sparse) {
-    // SELL-4: rows grouped in fours, slot-major interleave, group width =
-    // the longest row in the group. Dead slots store val 0 / col 0 but are
-    // masked out by the true per-row nnz counts, never added.
+  Layer l;
+  l.in = in_dim;
+  l.out = out_dim;
+  l.bbias_off = blk_bias_.size();
+  for (std::size_t o = 0; o < padded_out; ++o)
+    blk_bias_.push_back(o < bias.size() ? bias[o] : 0.0);
+
+  // Stored non-zeros per row (padding rows past out_dim count none):
+  // applyMask() forces pruned weights to exactly 0.0, so exact zeros are
+  // precisely the terms a dense matvec adds as no-ops and SELL-4 may skip
+  // without changing the result. A SELL-4 group is as wide as its longest
+  // row.
+  std::vector<std::int64_t> row_nnz(padded_out, 0);
+  for (int o = 0; o < out_dim; ++o)
+    row_nnz[static_cast<std::size_t>(o)] =
+        std::count_if(rowAt(o), rowAt(o) + in_dim,
+                      [](double w) { return w != 0.0; });
+  std::vector<std::int64_t> width(static_cast<std::size_t>(ngroups));
+  for (std::size_t g = 0; g < width.size(); ++g)
+    width[g] = *std::max_element(&row_nnz[4 * g], &row_nnz[4 * g] + 4);
+
+  // Kernel choice. A SELL slot (4-lane gather + liveness blend) costs
+  // roughly 2.5x a dense-panel slot (contiguous load + broadcast), so SELL
+  // must cut the slot count below 40% of the dense walk to win: true for
+  // large sparse layers, false for the tiny pruned Decision-maker layers
+  // where gather overhead dominates. Only the chosen layout is stored.
+  const std::int64_t sell_slots =
+      std::accumulate(width.begin(), width.end(), std::int64_t{0});
+  const std::int64_t dense_slots =
+      static_cast<std::int64_t>(ngroups) * static_cast<std::int64_t>(in_dim);
+  l.sell = 5 * sell_slots < 2 * dense_slots;
+
+  if (l.sell) {
+    // SELL-4: rows grouped in fours, slot-major interleave (slot s holds
+    // each lane's s-th stored weight). Dead slots store val 0 / col 0 but
+    // are masked out by the true per-row nnz counts, never added.
     l.sell_off = sell_vals_.size();
     l.grp_off = sell_grpoff_.size();
     l.nnz_off = sell_nnz_.size();
-    std::vector<std::int32_t> row_nnz(static_cast<std::size_t>(4 * ngroups), 0);
-    for (int o = 0; o < out_dim; ++o) {
-      const double* row = rowAt(o);
-      std::int32_t count = 0;
-      for (int i = 0; i < in_dim; ++i) count += (row[i] != 0.0);
-      row_nnz[static_cast<std::size_t>(o)] = count;
-    }
-    for (std::int32_t count : row_nnz) sell_nnz_.push_back(count);
+    sell_nnz_.insert(sell_nnz_.end(), row_nnz.begin(), row_nnz.end());
     std::size_t rel = 0;
     sell_grpoff_.push_back(rel);
-    std::vector<std::int32_t> lane_cols(4);
     for (int g = 0; g < ngroups; ++g) {
-      std::int32_t width = 0;
-      for (int lane = 0; lane < 4; ++lane)
-        width = std::max(width, row_nnz[static_cast<std::size_t>(4 * g + lane)]);
-      std::fill(lane_cols.begin(), lane_cols.end(), 0);
-      for (std::int32_t s = 0; s < width; ++s) {
+      const std::int64_t group_width = width[static_cast<std::size_t>(g)];
+      std::int32_t cursor[4] = {0, 0, 0, 0};  // next column per lane
+      for (std::int64_t s = 0; s < group_width; ++s) {
         for (int lane = 0; lane < 4; ++lane) {
           const int o = 4 * g + lane;
           double val = 0.0;
           std::int32_t col = 0;
-          if (o < out_dim && s < row_nnz[static_cast<std::size_t>(o)]) {
+          if (s < row_nnz[static_cast<std::size_t>(o)]) {
             // Advance this lane's cursor to its s-th stored weight.
             const double* row = rowAt(o);
-            std::int32_t c = lane_cols[static_cast<std::size_t>(lane)];
+            std::int32_t c = cursor[lane];
             while (row[c] == 0.0) ++c;
             val = row[c];
             col = c;
-            lane_cols[static_cast<std::size_t>(lane)] = c + 1;
+            cursor[lane] = c + 1;
           }
           sell_vals_.push_back(val);
           sell_cols_.push_back(col);
         }
       }
-      rel += static_cast<std::size_t>(4 * width);
+      rel += static_cast<std::size_t>(4 * group_width);
       sell_grpoff_.push_back(rel);
     }
-    // Vector-path kernel choice. A SELL slot (4-lane gather + liveness
-    // blend) costs roughly 2.5x a dense-panel slot (contiguous load +
-    // broadcast), so SELL must cut the slot count below ~40% of the dense
-    // walk to win: true for large sparse layers, false for the tiny
-    // pruned Decision-maker layers where gather overhead dominates. The
-    // scalar fallback path is untouched by this choice — it always walks
-    // CSR for sparse-classified layers.
-    const std::size_t sell_slots = rel / 4;
-    const std::size_t dense_slots = static_cast<std::size_t>(ngroups) *
-                                    static_cast<std::size_t>(in_dim);
-    l.vec_dense = 5 * sell_slots >= 2 * dense_slots;
+  } else {
+    // Blocked-interleaved dense panels: for each 4-row output block, the
+    // panel stores in_dim groups of 4 lane weights (tail rows zero-padded)
+    // so the kernel streams one contiguous buffer per block.
+    l.blk_off = blk_w_.size();
+    blk_w_.reserve(blk_w_.size() +
+                   padded_out * static_cast<std::size_t>(in_dim));
+    for (int g = 0; g < ngroups; ++g)
+      for (int i = 0; i < in_dim; ++i)
+        for (int lane = 0; lane < 4; ++lane) {
+          const int o = 4 * g + lane;
+          blk_w_.push_back(o < out_dim ? rowAt(o)[i] : 0.0);
+        }
   }
 
-  max_width_ = std::max(max_width_, std::max(in_dim, out_dim));
   padded_width_ = std::max(padded_width_, std::max(in_dim, 4 * ngroups));
   layers_.push_back(l);
 }
 
-PackedMlp::PackedMlp(const Mlp& net, const PackedMlpConfig& cfg)
+PackedMlp::PackedMlp(const Mlp& net)
     : head_(net.head()),
       input_dim_(net.inputDim()),
       output_dim_(net.outputDim()) {
@@ -155,14 +119,13 @@ PackedMlp::PackedMlp(const Mlp& net, const PackedMlpConfig& cfg)
   layers_.reserve(net.layerCount());
   for (std::size_t l = 0; l < net.layerCount(); ++l) {
     const DenseLayer& src = net.layer(l);
-    packLayer(src.weights().flat(), src.bias(), src.inDim(), src.outDim(),
-              cfg.sparse_density_threshold);
-    layers_.back().relu = l + 1 < net.layerCount();
+    packLayer(src.weights().flat(), src.bias(), src.inDim(), src.outDim());
+    layers_.back().post.relu = l + 1 < net.layerCount();
   }
   kernels_ = activeKernels();
 }
 
-PackedMlp::PackedMlp(const QuantizedMlp& net, const PackedMlpConfig& cfg)
+PackedMlp::PackedMlp(const QuantizedMlp& net)
     : head_(net.head()), input_dim_(net.inputDim()) {
   SSM_CHECK(!net.layers().empty(), "cannot pack an empty network");
   const double act_qmax =
@@ -179,36 +142,26 @@ PackedMlp::PackedMlp(const QuantizedMlp& net, const PackedMlpConfig& cfg)
     dequant.resize(src.weights.size());
     for (std::size_t i = 0; i < src.weights.size(); ++i)
       dequant[i] = static_cast<double>(src.weights[i]) * src.weight_scale;
-    packLayer(dequant, src.bias, src.in_dim, src.out_dim,
-              cfg.sparse_density_threshold);
-    Layer& packed = layers_.back();
-    packed.relu = l + 1 < net.layers().size();
-    packed.requant = net.activationsQuantized();
-    packed.act_scale = src.act_scale;
-    packed.act_qmax = act_qmax;
+    packLayer(dequant, src.bias, src.in_dim, src.out_dim);
+    layers_.back().post = {.relu = l + 1 < net.layers().size(),
+                           .requant = net.activationsQuantized(),
+                           .act_scale = src.act_scale,
+                           .act_qmax = act_qmax};
   }
   kernels_ = activeKernels();
-}
-
-std::size_t PackedMlp::sparseLayerCount() const noexcept {
-  std::size_t n = 0;
-  for (const Layer& l : layers_) n += l.sparse;
-  return n;
 }
 
 std::int64_t PackedMlp::flopsExecuted() const noexcept {
   std::int64_t total = 0;
   for (const Layer& l : layers_) {
-    std::int64_t macs;
-    if (l.sparse) {
-      macs = csr_rowptr_[l.rowptr_off + static_cast<std::size_t>(l.out)] -
-             csr_rowptr_[l.rowptr_off];
-    } else {
-      macs = static_cast<std::int64_t>(l.in) * l.out;
+    std::int64_t macs = static_cast<std::int64_t>(l.in) * l.out;
+    if (l.sell) {
+      const std::int64_t* nnz = sell_nnz_.data() + l.nnz_off;
+      macs = std::accumulate(nnz, nnz + l.out, std::int64_t{0});
     }
     total += 2 * macs;
-    total += l.out;               // bias adds
-    if (l.relu) total += l.out;   // hidden ReLUs
+    total += l.out;                    // bias adds
+    if (l.post.relu) total += l.out;   // hidden ReLUs
   }
   return total;
 }

@@ -1,28 +1,31 @@
 // Packed inference engine: the §IV.B–C payoff, cashed in.
 //
 // `Mlp::forward` heap-allocates two std::vector<double> per call and
-// multiplies densely through weights the pruning mask already zeroed, so a
-// (0.6, 0.9) two-stage-pruned model still pays for 6960 dense FLOPs. A
+// multiplies densely through weights the pruning mask already zeroed. A
 // PackedMlp is a compiled snapshot of a trained network optimised for the
 // 10 µs decision path:
 //
-//   * all layer weights live in one contiguous, layer-fused buffer (dense
-//     rows or CSR triples), biases in another — one cache stream per pass;
+//   * each layer is stored in exactly one layout, chosen once at compile
+//     time: the blocked dense panel, or SELL-4 (sliced ELLPACK) when the
+//     layer is sparse enough that skipping its pruned weights pays for the
+//     gathers (layouts in src/nn/simd.hpp). Layers of one layout share a
+//     fused pool — one cache stream per pass;
+//   * every SIMD tier, scalar included, runs those layouts through the same
+//     kernel templates (src/nn/simd_kernels.hpp), so the layout and the
+//     term order never depend on the host;
 //   * the caller owns the ping-pong activation scratch, so a forward pass
 //     performs zero heap allocations (enforced by the `hot-path-alloc`
 //     ssm_lint rule on this header and asserted by tests/test_packed.cpp);
-//   * a layer whose live-weight density falls below the configured
-//     threshold is lowered to a CSR sparse matvec, so the pruned model
-//     executes ~366 useful FLOPs instead of the dense 6960;
 //   * a batched entry point evaluates many feature rows in one call with
 //     one traversal of the weight stream per layer (Decision-maker over
 //     all clusters, Calibrator over all V/f levels, evaluation loops).
 //
 // Numerical contract: for finite inputs the packed pass reproduces
-// `Mlp::forward` exactly — the CSR path only skips terms whose stored
-// weight is exactly zero, and the surviving terms keep the dense loop's
-// accumulation order — so governors, sweeps and datagen switch engines
-// without changing a single decision (goldens stay byte-identical).
+// `Mlp::forward` exactly — the dense panel adds every term in the dense
+// loop's order, SELL-4 only skips terms whose stored weight is exactly zero
+// and keeps the survivors in that order — so governors, sweeps and datagen
+// switch engines without changing a single decision (goldens stay
+// byte-identical).
 //
 // Staleness contract: a PackedMlp is a snapshot. After mutating the source
 // network's weights or masks (pruning, fine-tuning), recompile; SsmModel
@@ -31,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,16 +45,6 @@
 namespace ssm {
 
 class QuantizedMlp;
-
-struct PackedMlpConfig {
-  /// A layer whose live-weight density is strictly below this compiles to
-  /// CSR; denser layers keep the fused dense layout. 0 forces all-dense,
-  /// anything above 1 forces all-CSR. The default is tuned on the deployed
-  /// (0.6, 0.9)-pruned Decision-maker: its first layer lands at ~0.56
-  /// density, where the shorter CSR accumulation chains still beat the
-  /// dense row walk on the decision-latency benchmark.
-  double sparse_density_threshold = 0.6;
-};
 
 class PackedMlp {
  public:
@@ -68,13 +60,13 @@ class PackedMlp {
   PackedMlp() = default;
 
   /// Compiles a float network. The source net is not referenced afterwards.
-  explicit PackedMlp(const Mlp& net, const PackedMlpConfig& cfg = {});
+  explicit PackedMlp(const Mlp& net);
 
   /// Compiles a quantized network: weights are pre-dequantized
   /// (w_q * weight_scale) and the inter-layer activation requantization is
   /// replayed as a per-layer post-op, reproducing QuantizedMlp::forward
   /// exactly.
-  explicit PackedMlp(const QuantizedMlp& net, const PackedMlpConfig& cfg = {});
+  explicit PackedMlp(const QuantizedMlp& net);
 
   [[nodiscard]] bool compiled() const noexcept { return !layers_.empty(); }
   [[nodiscard]] int inputDim() const noexcept { return input_dim_; }
@@ -83,10 +75,10 @@ class PackedMlp {
   [[nodiscard]] std::size_t layerCount() const noexcept {
     return layers_.size();
   }
-  /// Number of layers lowered to the CSR sparse matvec.
-  [[nodiscard]] std::size_t sparseLayerCount() const noexcept;
-  /// FLOPs one forward pass actually executes: 2 per stored (non-zero)
-  /// weight + one bias add per output neuron + one ReLU per hidden neuron.
+  /// FLOPs one forward pass actually executes: 2 per weight the layer's
+  /// kernel walks (every in x out weight of a dense panel, the non-zero
+  /// ones of a SELL-4 layer) + one bias add per output neuron + one ReLU
+  /// per hidden neuron.
   [[nodiscard]] std::int64_t flopsExecuted() const noexcept;
 
   /// Allocates scratch sized for single-row inference (cold path).
@@ -137,33 +129,23 @@ class PackedMlp {
   void forwardBatch(const Matrix& rows, Scratch& s, Matrix& out) const;
 
  private:
-  /// One compiled layer; offsets index the fused pools below.
+  /// One compiled layer; the offsets of its layout index the pools below.
   struct Layer {
     int in = 0;
     int out = 0;
-    bool sparse = false;   ///< CSR matvec instead of dense rows
-    bool vec_dense = true; ///< vector path: dense panel instead of SELL
-    bool relu = false;     ///< hidden layer: clamp activations at zero
-    bool requant = false;  ///< quantized-activation emulation post-op
-    double act_scale = 1.0;
-    double act_qmax = 0.0;
-    std::size_t w_off = 0;       ///< dense_w_: out*in doubles (dense only)
-    std::size_t val_off = 0;     ///< csr_vals_/csr_cols_ (sparse only)
-    std::size_t rowptr_off = 0;  ///< csr_rowptr_: out+1 entries
-    std::size_t bias_off = 0;    ///< bias_: out doubles
-    // SIMD layouts (see src/nn/simd.hpp): blocked-interleaved dense panel,
-    // padded bias, and the SELL-4 streams for sparse layers.
-    std::size_t blk_off = 0;     ///< blk_w_: ceil(out/4)*4*in doubles
-    std::size_t bbias_off = 0;   ///< blk_bias_: ceil(out/4)*4 doubles
-    std::size_t sell_off = 0;    ///< sell_vals_/sell_cols_ (sparse only)
-    std::size_t grp_off = 0;     ///< sell_grpoff_: ngroups+1 entries
-    std::size_t nnz_off = 0;     ///< sell_nnz_: ceil(out/4)*4 entries
+    bool sell = false;  ///< SELL-4 streams instead of the dense panel
+    SimdPostOp post;    ///< ReLU / quantized-activation post-ops
+    std::size_t bbias_off = 0;  ///< blk_bias_: ceil(out/4)*4 doubles
+    std::size_t blk_off = 0;    ///< blk_w_: ceil(out/4)*4*in doubles (dense)
+    std::size_t sell_off = 0;   ///< sell_vals_/sell_cols_ (SELL)
+    std::size_t grp_off = 0;    ///< sell_grpoff_: ngroups+1 entries (SELL)
+    std::size_t nnz_off = 0;    ///< sell_nnz_: ceil(out/4)*4 entries (SELL)
   };
 
   /// Shared compile tail: lowers `layer` from a dense row-major weight
-  /// view and appends it to the pools.
+  /// view into its chosen layout and appends it to the pools.
   void packLayer(std::span<const double> weights, std::span<const double> bias,
-                 int in_dim, int out_dim, double density_threshold);
+                 int in_dim, int out_dim);
 
   void checkSingle(std::span<const double> input, const Scratch& s) const {
     SSM_CHECK(compiled(), "PackedMlp not compiled");
@@ -175,70 +157,28 @@ class PackedMlp {
               "scratch too small; create it with makeScratch()");
   }
 
-  /// ReLU / requant post-ops on one accumulated neuron. Fused into the
-  /// matvec row loop so each activation is produced in a single pass; the
-  /// operations themselves are identical to Mlp::forward's separate sweeps.
-  [[nodiscard]] static double finishNeuron(const Layer& l,
-                                           double acc) noexcept {
-    if (l.relu) acc = std::max(0.0, acc);
-    if (l.requant)
-      acc = std::clamp(std::nearbyint(acc / l.act_scale), -l.act_qmax,
-                       l.act_qmax) *
-            l.act_scale;
-    return acc;
-  }
-
   /// y = mask(W) x + b for one compiled layer, then the ReLU / requant
-  /// post-ops. Accumulation order matches Mlp::forward bit-for-bit. When
-  /// the dispatcher selected a vector tier at compile time, the layer runs
-  /// through the SIMD kernels (one output neuron per lane, same per-lane
-  /// accumulation order — bit-identical results for finite inputs; see
-  /// src/nn/simd.hpp); otherwise the historical scalar loops below run,
-  /// which is also the SSMDVFS_FORCE_SCALAR golden path.
-  ///
-  /// Sparse-classified layers whose packed cost model found SELL
-  /// unprofitable (!l.vec_dense is SELL) run the dense vector kernel
-  /// instead: same term order as Mlp::forward, so exactness is preserved —
-  /// the dense walk adds the pruned weights' exact-zero products, which is
-  /// what the reference network itself does.
+  /// post-ops, through the kernel table the dispatcher selected at compile
+  /// time. Each SIMD lane owns one output neuron and accumulates in the
+  /// reference loop's order, so every tier is bit-identical to
+  /// Mlp::forward for finite inputs (see src/nn/simd.hpp).
   void layerForward(const Layer& l, const double* in,
                     double* out) const noexcept {
-    if (kernels_ != nullptr) {
-      const SimdPostOp post{l.relu, l.requant, l.act_scale, l.act_qmax};
-      if (l.sparse && !l.vec_dense)
-        kernels_->sell(sell_vals_.data() + l.sell_off,
-                       sell_cols_.data() + l.sell_off,
-                       sell_grpoff_.data() + l.grp_off,
-                       sell_nnz_.data() + l.nnz_off,
-                       blk_bias_.data() + l.bbias_off, in, l.out, post, out);
-      else
-        kernels_->dense(blk_w_.data() + l.blk_off,
-                        blk_bias_.data() + l.bbias_off, in, l.in, l.out,
-                        post, out);
-      return;
-    }
-    const double* bias = bias_.data() + l.bias_off;
-    if (l.sparse) {
-      const double* vals = csr_vals_.data() + l.val_off;
-      const std::int32_t* cols = csr_cols_.data() + l.val_off;
-      const std::int32_t* rowptr = csr_rowptr_.data() + l.rowptr_off;
-      for (int o = 0; o < l.out; ++o) {
-        double acc = bias[o];
-        const std::int32_t end = rowptr[o + 1];
-        for (std::int32_t k = rowptr[o]; k < end; ++k)
-          acc += vals[k] * in[cols[k]];
-        out[o] = finishNeuron(l, acc);
-      }
-    } else {
-      const double* w = dense_w_.data() + l.w_off;
-      for (int o = 0; o < l.out; ++o) {
-        const double* wr = w + static_cast<std::size_t>(o) *
-                                   static_cast<std::size_t>(l.in);
-        double acc = bias[o];
-        for (int i = 0; i < l.in; ++i) acc += wr[i] * in[i];
-        out[o] = finishNeuron(l, acc);
-      }
-    }
+    const double* bias = blk_bias_.data() + l.bbias_off;
+    // The kernels re-read the post-op after every block store (`out` may
+    // alias it as far as they know), so hand them a stack copy: passing a
+    // reference into the layer table measured slower in bench_micro_perf
+    // on an AVX2 host.
+    const SimdPostOp post = l.post;
+    if (l.sell)
+      kernels_->sell(sell_vals_.data() + l.sell_off,
+                     sell_cols_.data() + l.sell_off,
+                     sell_grpoff_.data() + l.grp_off,
+                     sell_nnz_.data() + l.nnz_off, bias, in, l.out, post,
+                     out);
+    else
+      kernels_->dense(blk_w_.data() + l.blk_off, bias, in, l.in, l.out, post,
+                      out);
   }
 
   /// Runs every layer ping-pong and writes the raw head row (pre-softmax)
@@ -266,21 +206,14 @@ class PackedMlp {
   Head head_ = Head::kRegression;
   int input_dim_ = 0;
   int output_dim_ = 0;
-  int max_width_ = 0;  ///< widest activation row across all layers
-  /// Scratch row width: max_width_ with every layer's output rounded up
-  /// to a multiple of 4, so the SIMD kernels' full-width vector stores
-  /// land inside the row regardless of ragged tails. Padding lanes hold
-  /// junk that no layer reads.
+  /// Scratch row width: the widest activation row with every layer's
+  /// output rounded up to a multiple of 4, so the kernels' full-width
+  /// vector stores land inside the row regardless of ragged tails. Padding
+  /// lanes hold junk that no layer reads.
   int padded_width_ = 0;
-  /// Kernel table the dispatcher selected when this model was compiled;
-  /// nullptr runs the scalar loops.
+  /// Kernel table the dispatcher selected when this model was compiled.
   const SimdKernels* kernels_ = nullptr;
   std::vector<Layer> layers_;
-  std::vector<double> dense_w_;        ///< fused dense rows
-  std::vector<double> csr_vals_;       ///< fused CSR values
-  std::vector<std::int32_t> csr_cols_; ///< fused CSR column indices
-  std::vector<std::int32_t> csr_rowptr_;
-  std::vector<double> bias_;           ///< fused biases
   std::vector<double> blk_w_;          ///< blocked-interleaved dense panels
   std::vector<double> blk_bias_;       ///< biases padded to 4-row blocks
   std::vector<double> sell_vals_;      ///< SELL-4 values (slot-major)

@@ -1,32 +1,33 @@
-// Runtime-dispatched SIMD inference kernels for the packed engine.
+// Runtime-dispatched inference kernels for the packed engine.
 //
 // The decision path runs one PackedMlp forward per 10 µs epoch, and the
 // batched entry points (Calibrator, datagen, evaluation sweeps) run
-// thousands; both bottom out in the dense / CSR matvec loops. This seam
-// lets those loops execute 4 output neurons per instruction where the
-// host supports it, without giving up the repo's exactness contract:
+// thousands; both bottom out in the dense-panel / SELL-4 matvec kernels
+// declared here. Every tier runs the same kernel templates
+// (simd_kernels.hpp) and differs only in which instructions carry the 4
+// lanes, so for finite inputs the host's vector width never changes a
+// result:
 //
-//   * the kernels vectorize ACROSS output rows — each SIMD lane owns one
-//     output neuron and performs the same multiply-then-add chain, in the
-//     same input order, as the scalar loop (no FMA contraction, no
-//     reassociation), so lane results are bit-identical to the scalar
-//     engine for finite inputs;
+//   * the kernels vectorize ACROSS output rows — each lane owns one output
+//     neuron and performs the reference loop's multiply-then-add chain, in
+//     the same input order (no FMA contraction, no reassociation), so lane
+//     results are bit-identical to Mlp::forward for finite inputs;
 //   * post-ops (ReLU, activation requantization) use vector instructions
 //     whose IEEE semantics match the scalar std::max / std::nearbyint /
 //     std::clamp sequence exactly (see simd_kernels.hpp for the operand
 //     order arguments);
 //   * tier selection happens once at startup: AVX2 on x86-64 hosts that
-//     report it, NEON on aarch64, otherwise scalar. `activeKernels()`
-//     returns nullptr for the scalar tier, which makes PackedMlp fall back
-//     to its historical (and separately validated) scalar loops — so a
-//     scalar host, the SSMDVFS_FORCE_SCALAR=1 environment override, and
-//     the -DSSMDVFS_FORCE_SCALAR=ON CMake option all reproduce today's
+//     report it, NEON on aarch64, otherwise the scalar tier, which runs the
+//     templates with a plain-arithmetic 4-lane policy. A scalar host, the
+//     SSMDVFS_FORCE_SCALAR=1 environment override and the
+//     -DSSMDVFS_FORCE_SCALAR=ON CMake option therefore execute the same
+//     layouts in the same term order as a vector host, and reproduce its
 //     goldens byte-for-byte by construction.
 //
-// tests/test_simd.cpp property-checks SIMD-vs-scalar equivalence across
-// layer shapes, densities and ragged tails; bench_micro_perf records the
-// dispatched tier in BENCH_inference.json so bench_check can skip
-// SIMD-specific floors on scalar hosts.
+// tests/test_simd.cpp property-checks every executable tier against naive
+// loops across layer shapes, densities and ragged tails; bench_micro_perf
+// records the dispatched tier in BENCH_inference.json so bench_check can
+// skip SIMD-specific floors on scalar hosts.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +38,7 @@ namespace ssm {
 /// Vector instruction tier the dispatcher selected.
 enum class SimdTier { kScalar, kAvx2, kNeon };
 
-/// Post-op parameters for one layer, mirroring PackedMlp's Layer fields.
+/// Post-op parameters for one layer (PackedMlp stores one per layer).
 struct SimdPostOp {
   bool relu = false;
   bool requant = false;
@@ -74,16 +75,14 @@ struct SimdKernels {
 /// is cached.
 [[nodiscard]] SimdTier activeSimdTier() noexcept;
 
-/// Kernel table for the active tier, or nullptr when it is kScalar (the
-/// caller's own scalar loops are the fallback path).
+/// Kernel table for the active tier; never nullptr.
 [[nodiscard]] const SimdKernels* activeKernels() noexcept;
 
 /// Kernel table for an explicit tier (test hook). kScalar returns the
 /// template-compiled scalar kernels — the same kernel templates as the
-/// vector tiers lowered to lane-wise arithmetic — which is what the
-/// equivalence property tests compare against. Returns nullptr for a tier
-/// this binary was not compiled with; calling into a table the host CPU
-/// cannot execute is the caller's responsibility to avoid.
+/// vector tiers lowered to lane-wise arithmetic. Returns nullptr for a
+/// tier this binary was not compiled with; calling into a table the host
+/// CPU cannot execute is the caller's responsibility to avoid.
 [[nodiscard]] const SimdKernels* kernelsForTier(SimdTier tier) noexcept;
 
 /// Stable lower-case tier name ("scalar", "avx2", "neon") for reports.

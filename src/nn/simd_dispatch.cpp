@@ -1,8 +1,8 @@
-// Tier selection for the SIMD inference kernels. Detection runs once per
+// Tier selection for the inference kernels. Detection runs once per
 // process: the SSMDVFS_FORCE_SCALAR compile definition / environment
-// variable pins the scalar tier (keeping goldens byte-identical to the
-// historical engine), otherwise x86-64 hosts that report AVX2 get the
-// AVX2 table and aarch64 hosts get NEON.
+// variable pins the scalar tier, otherwise x86-64 hosts that report AVX2
+// get the AVX2 table and aarch64 hosts get NEON. A tier is only selected
+// when this binary carries its table, so activeKernels() always has one.
 #include "nn/simd.hpp"
 
 #include <cstdlib>
@@ -22,13 +22,15 @@ SimdTier detectTier() noexcept {
   return SimdTier::kScalar;
 #else
   // Opt-out escape hatch: any non-empty value other than "0" forces the
-  // scalar engine (used by CI to prove golden byte-identity).
+  // scalar tier (CI runs the goldens under it).
   const char* env = std::getenv("SSMDVFS_FORCE_SCALAR");
   if (env != nullptr && env[0] != '\0' &&
       !(env[0] == '0' && env[1] == '\0'))
     return SimdTier::kScalar;
 #if defined(__x86_64__)
-  return __builtin_cpu_supports("avx2") ? SimdTier::kAvx2 : SimdTier::kScalar;
+  const bool avx2 = __builtin_cpu_supports("avx2") &&
+                    simd_detail::avx2Kernels() != nullptr;
+  return avx2 ? SimdTier::kAvx2 : SimdTier::kScalar;
 #elif defined(__aarch64__)
   return SimdTier::kNeon;
 #else
@@ -61,9 +63,7 @@ const SimdKernels* kernelsForTier(SimdTier tier) noexcept {
 }
 
 const SimdKernels* activeKernels() noexcept {
-  const SimdTier tier = activeSimdTier();
-  if (tier == SimdTier::kScalar) return nullptr;
-  return kernelsForTier(tier);
+  return kernelsForTier(activeSimdTier());
 }
 
 const char* simdTierName(SimdTier tier) noexcept {

@@ -1,68 +1,51 @@
 #include "thermal/thermal_spec.hpp"
 
-// ssm-lint: allow(hot-path-io) — snprintf for print(); cold config code
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 
 namespace ssm::thermal {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t'))
-    s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
-    s.remove_suffix(1);
-  return s;
-}
-
 [[noreturn]] void specError(const std::string& what) {
   throw DataError("bad --thermal spec: " + what);
 }
 
+double parseNumber(std::string_view key, std::string_view value) {
+  const std::optional<double> d = toDouble(value);
+  if (!d)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not a number");
+  return *d;
+}
+
 double parsePositive(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
+  const double d = parseNumber(key, value);
   if (d <= 0.0)
-    specError(std::string(key) + " must be > 0, got " + v);
+    specError(std::string(key) + " must be > 0, got " + std::string(value));
   return d;
 }
 
 double parseTemp(std::string_view key, std::string_view value) {
-  char* end = nullptr;
-  const std::string v(value);
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not a number");
+  const double d = parseNumber(key, value);
   if (d < -273.15 || d > 1000.0)
-    specError(std::string(key) + " must be a plausible degC value, got " + v);
+    specError(std::string(key) + " must be a plausible degC value, got " +
+              std::string(value));
   return d;
 }
 
 int parseSmallInt(std::string_view key, std::string_view value, int lo,
                   int hi) {
-  char* end = nullptr;
-  const std::string v(value);
-  const long long i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    specError(std::string(key) + "='" + v + "' is not an integer");
-  if (i < lo || i > hi)
+  const std::optional<std::int64_t> i = toInt64(value);
+  if (!i)
+    specError(std::string(key) + "='" + std::string(value) +
+              "' is not an integer");
+  if (*i < lo || *i > hi)
     specError(std::string(key) + " must be in [" + std::to_string(lo) + "," +
-              std::to_string(hi) + "], got " + v);
-  return static_cast<int>(i);
-}
-
-/// %.17g: shortest form that survives a strtod round trip for doubles.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+              std::to_string(hi) + "], got " + std::string(value));
+  return static_cast<int>(*i);
 }
 
 }  // namespace
@@ -74,12 +57,8 @@ ThermalScenario ThermalScenario::parse(std::string_view text) {
   scenario.enabled = true;
   if (text == "on") return scenario;
 
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t at = text.find(',', start);
-    if (at == std::string_view::npos) at = text.size();
-    const std::string_view kv = trim(text.substr(start, at - start));
-    start = at + 1;
+  for (const std::string_view raw : split(text, ',')) {
+    const std::string_view kv = trim(raw);
     if (kv.empty()) continue;
     const std::size_t eq = kv.find('=');
     if (eq == std::string_view::npos || eq == 0 || eq + 1 >= kv.size())
@@ -119,21 +98,21 @@ std::string ThermalScenario::print() const {
     out += value;
   };
   if (params.ambient_c != defaults.params.ambient_c)
-    emit("amb", num(params.ambient_c));
+    emit("amb", formatDouble(params.ambient_c));
   if (params.r_cluster != defaults.params.r_cluster)
-    emit("rc", num(params.r_cluster));
+    emit("rc", formatDouble(params.r_cluster));
   if (params.c_cluster != defaults.params.c_cluster)
-    emit("cc", num(params.c_cluster));
+    emit("cc", formatDouble(params.c_cluster));
   if (params.r_package != defaults.params.r_package)
-    emit("rp", num(params.r_package));
+    emit("rp", formatDouble(params.r_package));
   if (params.c_package != defaults.params.c_package)
-    emit("cp", num(params.c_package));
+    emit("cp", formatDouble(params.c_package));
   if (throttle.trip_c != defaults.throttle.trip_c)
-    emit("trip", num(throttle.trip_c));
+    emit("trip", formatDouble(throttle.trip_c));
   if (throttle.package_trip_c != defaults.throttle.package_trip_c)
-    emit("ptrip", num(throttle.package_trip_c));
+    emit("ptrip", formatDouble(throttle.package_trip_c));
   if (throttle.hysteresis_c != defaults.throttle.hysteresis_c)
-    emit("hyst", num(throttle.hysteresis_c));
+    emit("hyst", formatDouble(throttle.hysteresis_c));
   if (throttle.floor_level != defaults.throttle.floor_level)
     emit("floor", std::to_string(throttle.floor_level));
   if (throttle.recover_epochs != defaults.throttle.recover_epochs)

@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ssm {
 namespace {
@@ -19,10 +21,16 @@ namespace {
 #ifndef SSM_CLI_PATH
 #error "SSM_CLI_PATH must be defined by the build system"
 #endif
+#ifndef SSM_GOLDEN_DIR
+#error "SSM_GOLDEN_DIR must be defined by the build system"
+#endif
 
-/// Runs the CLI with `args`, captures stdout(+stderr), returns exit code.
-int runCli(const std::string& args, std::string* output) {
-  const std::string cmd = std::string(SSM_CLI_PATH) + " " + args + " 2>&1";
+/// Runs the CLI with `args` (and `env`, "NAME=value ..." assignments, in its
+/// environment), captures stdout(+stderr), returns exit code.
+int runCli(const std::string& args, std::string* output,
+           const std::string& env = "") {
+  const std::string cmd =
+      env + " " + std::string(SSM_CLI_PATH) + " " + args + " 2>&1";
   std::FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return -1;
   std::array<char, 4096> buf{};
@@ -540,6 +548,75 @@ TEST_F(CliTest, CounterfactualBadInputsFailWithActionableDiagnostics) {
                    &out),
             0);
   EXPECT_NE(out.find("--replay"), std::string::npos) << out;
+}
+
+// Every numeric flag parses strictly: a malformed value fails with a
+// DataError naming the flag instead of running a default (atof's 0) or
+// tripping a contract check deep in the library.
+TEST_F(CliTest, MalformedNumbersFailNamingTheFlag) {
+  std::string out;
+  const std::string sweep =
+      "sweep --workloads spmv --mechanisms baseline --max-ms 1 --quiet --out " +
+      dir_ + "/x.jsonl ";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {sweep + "--presets abc --seeds xyz", "--presets"},
+      {sweep + "--presets 0.1x", "--presets"},
+      {sweep + "--seeds 7,xyz", "--seeds"},
+      {"dc --faults noise:p=0.5 --degraded x", "--degraded"},
+      {"dc --rack-caps abc", "--rack-caps"},
+      {"dc --rack-caps 1000,0", "--rack-caps"},
+      {"dc --rack-cap -5", "--rack-cap"},
+      {"datagen --workload spmv --runs 1x --out " + dir_ + "/c.csv",
+       "--runs"},
+  };
+  for (const auto& [args, flag] : cases) {
+    EXPECT_NE(runCli(args, &out), 0) << args << "\n" << out;
+    EXPECT_NE(out.find("error: " + flag + ":"), std::string::npos)
+        << args << "\n" << out;
+    EXPECT_EQ(out.find("contract violation"), std::string::npos) << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/x.jsonl"));
+}
+
+// The packed inference engine end to end: the pinned datagen corpus trains
+// and prunes into the committed model, and a sweep of the two ML governors
+// over it reproduces the committed rows, at --jobs 1 natively and at
+// --jobs 4 on the forced-scalar kernel tier.
+TEST_F(CliTest, PackedEngineGoldenChain) {
+  std::string out;
+  const std::string golden = SSM_GOLDEN_DIR;
+  const std::string corpus = dir_ + "/datagen_spmv.csv";
+  const std::string model = dir_ + "/model.txt";
+  ASSERT_EQ(runCli("datagen --workload spmv --runs 1 --seed 7 --out " + corpus,
+                   &out),
+            0)
+      << out;
+  ASSERT_EQ(runCli("train --data " + corpus + " --out " + model +
+                       " --compressed --prune --epochs 60",
+                   &out),
+            0)
+      << out;
+  const std::string want_model = slurp(golden + "/model_spmv_pruned.txt");
+  ASSERT_FALSE(want_model.empty());
+  EXPECT_EQ(slurp(model), want_model);
+  const std::string want_jsonl = slurp(golden + "/sweep_ssmdvfs.jsonl");
+  const std::string want_csv = slurp(golden + "/sweep_ssmdvfs.csv");
+  ASSERT_FALSE(want_jsonl.empty());
+  for (const auto& [jobs, env] :
+       {std::pair<std::string, std::string>{"1", ""},
+        std::pair<std::string, std::string>{"4", "SSMDVFS_FORCE_SCALAR=1"}}) {
+    const std::string jsonl = dir_ + "/sweep_j" + jobs + ".jsonl";
+    const std::string csv = dir_ + "/sweep_j" + jobs + ".csv";
+    ASSERT_EQ(runCli("sweep --workloads spmv,sgemm --mechanisms "
+                     "ssmdvfs,ssmdvfs-nocal --presets 0.10,0.20 --model " +
+                         model + " --jobs " + jobs + " --quiet --out " +
+                         jsonl + " --csv " + csv,
+                     &out, env),
+              0)
+        << out;
+    EXPECT_EQ(slurp(jsonl), want_jsonl) << "jobs " << jobs << " " << env;
+    EXPECT_EQ(slurp(csv), want_csv) << "jobs " << jobs << " " << env;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for src/common: RNG determinism and distributions, statistics,
-// table rendering, contract checking.
+// table rendering, contract checking, the shared spec-grammar helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +7,7 @@
 
 #include "common/ascii_chart.hpp"
 #include "common/check.hpp"
+#include "common/grammar.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -328,6 +329,35 @@ TEST(Check, ThrowsWithContext) {
   } catch (const ContractError& e) {
     EXPECT_NE(std::string(e.what()).find("extra context"), std::string::npos);
   }
+}
+
+TEST(Grammar, SplitDropsEmptyTokensAndTrimStripsBlanks) {
+  const std::vector<std::string_view> want = {"a", " b", "c "};
+  EXPECT_EQ(split("a,, b,c ,", ','), want);
+  EXPECT_TRUE(split("", '|').empty());
+  EXPECT_TRUE(split("||", '|').empty());
+  EXPECT_EQ(trim(" \tkey=v \t"), "key=v");
+  EXPECT_EQ(trim("  "), "");
+}
+
+TEST(Grammar, NumbersParseOnlyWhenTheWholeTokenIsANumber) {
+  EXPECT_EQ(toDouble("0.25"), 0.25);
+  EXPECT_EQ(toDouble("-1e3"), -1000.0);
+  for (const char* bad : {"", "abc", "0.1x", "1,5", "0.5 "})
+    EXPECT_FALSE(toDouble(bad).has_value()) << "'" << bad << "'";
+  EXPECT_EQ(toInt64("777"), 777);
+  EXPECT_EQ(toInt64("-3"), -3);
+  for (const char* bad : {"", "xyz", "7x", "1.5", "0x10"})
+    EXPECT_FALSE(toInt64(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(Grammar, FormattedDoublesRoundTrip) {
+  for (const double v : {0.1, 1.0 / 3.0, -2.5e-300, 45.0, 1e21}) {
+    const std::string text = formatDouble(v);
+    ASSERT_TRUE(toDouble(text).has_value()) << text;
+    EXPECT_EQ(*toDouble(text), v) << text;
+  }
+  EXPECT_EQ(formatDouble(45.0), "45");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the packed inference engine: exact agreement with the
 // reference Mlp / QuantizedMlp forward passes across randomized shapes,
-// masks and prune levels (dense, CSR and quantized lowerings; single-row
-// and batched), plus the zero-allocation guarantee of the hot entry
-// points, asserted with a counting global allocator.
+// masks and prune levels (dense-panel, SELL-4 and quantized lowerings;
+// single-row and batched), the per-layer kernel choice and its FLOP
+// accounting, plus the zero-allocation guarantee of the hot entry points,
+// asserted with a counting global allocator.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,45 +95,115 @@ void expectExactlyEqual(std::span<const double> ref,
     EXPECT_EQ(ref[i], got[i]) << "component " << i;
 }
 
-TEST(PackedT, MatchesReferenceAcrossShapesMasksAndThresholds) {
+TEST(PackedT, MatchesReferenceAcrossShapesAndMasks) {
   Rng rng(0xfadedUL);
   const std::vector<std::vector<int>> shapes = {
       {3, 4}, {6, 12, 12, 6}, {6, 20, 20, 20, 20, 20, 6}, {1, 7, 1}, {5, 3, 2}};
+  // 0.0 keeps every layer on the dense panel, 0.95 sends the wide layers
+  // to SELL-4, and the middle fractions mix both in one network.
   const std::vector<double> zero_fractions = {0.0, 0.3, 0.6, 0.95};
-  // 0.0 forces every layer dense, 1.1 forces every layer CSR, 0.5 is the
-  // density-driven default that mixes both in one network.
-  const std::vector<double> thresholds = {0.0, 0.5, 1.1};
   for (const auto& dims : shapes) {
     for (Head head : {Head::kSoftmaxClassifier, Head::kRegression}) {
       for (double zf : zero_fractions) {
         Mlp net = makeMaskedNet(rng, dims, head, zf);
-        for (double threshold : thresholds) {
-          PackedMlp packed(net, {.sparse_density_threshold = threshold});
-          EXPECT_EQ(packed.inputDim(), net.inputDim());
-          EXPECT_EQ(packed.outputDim(), net.outputDim());
-          if (threshold == 0.0) {
-            EXPECT_EQ(packed.sparseLayerCount(), 0u);
-          }
-          if (threshold > 1.0) {
-            EXPECT_EQ(packed.sparseLayerCount(), packed.layerCount());
-          }
-          auto scratch = packed.makeScratch();
-          std::vector<double> out(static_cast<std::size_t>(net.outputDim()));
-          for (int trial = 0; trial < 8; ++trial) {
-            const auto x = randomInput(rng, net.inputDim());
-            const auto ref = net.forward(x);
-            packed.forward(x, scratch, out);
-            expectExactlyEqual(ref, out);
-            if (head == Head::kSoftmaxClassifier)
-              EXPECT_EQ(packed.predictClass(x, scratch), net.predictClass(x));
-            else
-              EXPECT_EQ(packed.predictScalar(x, scratch),
-                        net.predictScalar(x));
-          }
+        PackedMlp packed(net);
+        EXPECT_EQ(packed.inputDim(), net.inputDim());
+        EXPECT_EQ(packed.outputDim(), net.outputDim());
+        auto scratch = packed.makeScratch();
+        std::vector<double> out(static_cast<std::size_t>(net.outputDim()));
+        for (int trial = 0; trial < 8; ++trial) {
+          const auto x = randomInput(rng, net.inputDim());
+          const auto ref = net.forward(x);
+          packed.forward(x, scratch, out);
+          expectExactlyEqual(ref, out);
+          if (head == Head::kSoftmaxClassifier)
+            EXPECT_EQ(packed.predictClass(x, scratch), net.predictClass(x));
+          else
+            EXPECT_EQ(packed.predictScalar(x, scratch), net.predictScalar(x));
         }
       }
     }
   }
+}
+
+/// A layer's kernel under the slot-cost rule plus the 0.6 density gate the
+/// engine once applied on top of it: SELL-4 only below 0.6 density and only
+/// when its slot count is under 40% of the dense panel's. Matching it on the
+/// shapes below shows that dropping the gate moves no layer to another
+/// kernel.
+struct RuleChoice {
+  bool sell = false;
+  std::int64_t flops = 0;  ///< MACs the kernel walks x2 + bias adds + ReLUs
+};
+
+RuleChoice densityGatedRule(const DenseLayer& layer, bool relu) {
+  const int in = layer.inDim();
+  const int out = layer.outDim();
+  const int ngroups = (out + 3) / 4;
+  std::vector<std::int64_t> row_nnz(static_cast<std::size_t>(4 * ngroups), 0);
+  std::int64_t nnz = 0;
+  for (int o = 0; o < out; ++o)
+    for (int i = 0; i < in; ++i)
+      if (layer.weights()(static_cast<std::size_t>(o),
+                          static_cast<std::size_t>(i)) != 0.0) {
+        ++row_nnz[static_cast<std::size_t>(o)];
+        ++nnz;
+      }
+  std::int64_t sell_slots = 0;
+  for (int g = 0; g < ngroups; ++g) {
+    std::int64_t width = 0;
+    for (int lane = 0; lane < 4; ++lane)
+      width = std::max(width, row_nnz[static_cast<std::size_t>(4 * g + lane)]);
+    sell_slots += width;
+  }
+  const std::int64_t dense_slots = static_cast<std::int64_t>(ngroups) * in;
+  const double density = static_cast<double>(nnz) / (in * out);
+  RuleChoice r;
+  r.sell = density < 0.6 && 5 * sell_slots < 2 * dense_slots;
+  r.flops = 2 * (r.sell ? nnz : static_cast<std::int64_t>(in) * out) + out +
+            (relu ? out : 0);
+  return r;
+}
+
+/// The one-layer network holding `layer`'s weights and bias, so the packed
+/// FLOP count isolates that layer's kernel choice.
+Mlp singleLayerNet(const DenseLayer& layer) {
+  Mlp one({layer.inDim(), layer.outDim()}, Head::kRegression, Rng(1));
+  one.layer(0).weights() = layer.weights();
+  one.layer(0).bias() = layer.bias();
+  return one;
+}
+
+TEST(PackedT, KernelChoiceAndFlopsFollowTheDensityGatedRule) {
+  Rng rng(0x5e11UL);
+  const std::vector<std::vector<int>> shapes = {
+      {3, 4}, {6, 12, 12, 6}, {6, 20, 20, 20, 20, 20, 6}, {1, 7, 1},
+      {5, 3, 2}, {12, 6}, {12, 1}, {20, 21, 9}};
+  for (const auto& dims : shapes) {
+    for (double zf : {0.0, 0.3, 0.5, 0.6, 0.75, 0.95}) {
+      Mlp net = makeMaskedNet(rng, dims, Head::kRegression, zf);
+      std::int64_t want = 0;
+      for (std::size_t l = 0; l < net.layerCount(); ++l) {
+        const DenseLayer& layer = net.layer(l);
+        want += densityGatedRule(layer, l + 1 < net.layerCount()).flops;
+        EXPECT_EQ(PackedMlp(singleLayerNet(layer)).flopsExecuted(),
+                  densityGatedRule(layer, /*relu=*/false).flops)
+            << "layer " << l << " of a " << dims.size() - 1
+            << "-layer net at zero fraction " << zf;
+      }
+      EXPECT_EQ(PackedMlp(net).flopsExecuted(), want);
+    }
+  }
+  // A 0.95-zero wide layer must take SELL-4 and walk only its non-zeros.
+  Mlp wide = makeMaskedNet(rng, {20, 20}, Head::kRegression, 0.95);
+  const RuleChoice rule = densityGatedRule(wide.layer(0), false);
+  ASSERT_TRUE(rule.sell);
+  EXPECT_EQ(PackedMlp(wide).flopsExecuted(),
+            2 * wide.layer(0).nonzeroWeights() + 20);
+  EXPECT_EQ(PackedMlp(wide).flopsExecuted(), rule.flops);
+  // An unpruned network packs all-dense and executes exactly denseFlops().
+  Mlp dense_net({6, 12, 6}, Head::kRegression, Rng(11));
+  EXPECT_EQ(PackedMlp(dense_net).flopsExecuted(), dense_net.denseFlops());
 }
 
 TEST(PackedT, MatchesReferenceAfterTwoStagePruning) {
@@ -141,21 +212,12 @@ TEST(PackedT, MatchesReferenceAfterTwoStagePruning) {
   magnitudePruneTo(net, 0.6);
   neuronPrune(net, 0.9);
   PackedMlp packed(net);
-  EXPECT_GT(packed.sparseLayerCount(), 0u);
   // Executed work sits between the paper's mask-aware accounting (live
-  // neurons only) and the dense pass the reference engine runs.
+  // neurons only) and the dense pass the reference engine runs. The bound
+  // is inclusive: a layer whose SELL-4 slots would not undercut 40% of its
+  // dense panel keeps the panel and walks every weight.
   EXPECT_GE(packed.flopsExecuted(), net.flops());
-  EXPECT_LT(packed.flopsExecuted(), net.denseFlops());
-  // Forced all-CSR, the only executed overhead over the mask-aware count
-  // is the bias add + ReLU kept on pruned-dead neurons.
-  PackedMlp all_csr(net, {.sparse_density_threshold = 1.1});
-  std::int64_t neurons = 0;
-  for (std::size_t l = 0; l < net.layerCount(); ++l)
-    neurons += net.layer(l).outDim();
-  EXPECT_LE(all_csr.flopsExecuted(), net.flops() + 2 * neurons);
-  // An unpruned network packs all-dense and executes exactly denseFlops().
-  Mlp dense_net({6, 12, 6}, Head::kRegression, Rng(11));
-  EXPECT_EQ(PackedMlp(dense_net).flopsExecuted(), dense_net.denseFlops());
+  EXPECT_LE(packed.flopsExecuted(), net.denseFlops());
   auto scratch = packed.makeScratch();
   std::vector<double> out(static_cast<std::size_t>(net.outputDim()));
   for (int trial = 0; trial < 16; ++trial) {

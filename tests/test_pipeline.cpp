@@ -29,7 +29,10 @@ PipelineConfig tinyPipeline(const std::string& cache_dir) {
 class PipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "ssm_test_pipeline_cache";
+    // Per-test directory: ctest -j runs PipelineTest cases concurrently, and
+    // a shared dir would let one test's SetUp delete another's cache.
+    dir_ = std::string("ssm_test_pipeline_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -156,8 +156,9 @@ KernelInputs buildLayouts(Rng& rng, int in_dim, int out_dim,
   return k;
 }
 
-/// Naive reference for one layer + post-ops. `skip_zeros` mirrors the CSR
-/// contract (only exact-zero stored weights are skipped, column order kept).
+/// Naive reference for one layer + post-ops. `skip_zeros` mirrors the
+/// SELL-4 contract (only exact-zero stored weights are skipped, column order
+/// kept).
 std::vector<double> naiveLayer(const KernelInputs& k,
                                std::span<const double> in,
                                const SimdPostOp& post, bool skip_zeros) {
@@ -193,15 +194,11 @@ std::vector<const SimdKernels*> executableTables() {
 TEST(SimdDispatch, TierAndTablesAreConsistent) {
   TierOverrideGuard guard;
   const SimdTier tier = hostTier();
-  if (tier == SimdTier::kScalar) {
-    EXPECT_EQ(activeKernels(), nullptr);
-  } else {
-    EXPECT_EQ(activeKernels(), kernelsForTier(tier));
-    ASSERT_NE(activeKernels(), nullptr);
-    EXPECT_NE(activeKernels()->dense, nullptr);
-    EXPECT_NE(activeKernels()->sell, nullptr);
-  }
-  // The template-scalar table always exists (it is the equivalence oracle).
+  EXPECT_EQ(activeKernels(), kernelsForTier(tier));
+  ASSERT_NE(activeKernels(), nullptr);
+  EXPECT_NE(activeKernels()->dense, nullptr);
+  EXPECT_NE(activeKernels()->sell, nullptr);
+  // The template-scalar table always exists (it is the scalar tier).
   const SimdKernels* scalar = kernelsForTier(SimdTier::kScalar);
   ASSERT_NE(scalar, nullptr);
   EXPECT_NE(scalar->dense, nullptr);
@@ -212,7 +209,7 @@ TEST(SimdDispatch, TierAndTablesAreConsistent) {
   // Overrides take effect and clear.
   overrideSimdTierForTest(SimdTier::kScalar);
   EXPECT_EQ(activeSimdTier(), SimdTier::kScalar);
-  EXPECT_EQ(activeKernels(), nullptr);
+  EXPECT_EQ(activeKernels(), kernelsForTier(SimdTier::kScalar));
   clearSimdTierOverrideForTest();
   EXPECT_EQ(activeSimdTier(), tier);
 }
@@ -296,12 +293,12 @@ TEST(SimdPackedT, TierOverrideMatchesScalarEngineBitForBit) {
           }
           net.applyMasks();
         }
-        // Scalar-pinned engine: the historical loops, i.e. the golden path.
+        // Scalar-pinned engine: the SSMDVFS_FORCE_SCALAR golden path.
         overrideSimdTierForTest(SimdTier::kScalar);
-        PackedMlp scalar_packed(net, {.sparse_density_threshold = 0.6});
+        PackedMlp scalar_packed(net);
         // Host-tier engine (no-op comparison on scalar-only hosts).
         overrideSimdTierForTest(host);
-        PackedMlp vec_packed(net, {.sparse_density_threshold = 0.6});
+        PackedMlp vec_packed(net);
         auto s1 = scalar_packed.makeScratch();
         auto s2 = vec_packed.makeScratch();
         std::vector<double> out1(static_cast<std::size_t>(net.outputDim()));

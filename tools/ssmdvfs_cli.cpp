@@ -83,6 +83,7 @@
 
 #include "baselines/oracle.hpp"
 #include "compress/pruning.hpp"
+#include "common/grammar.hpp"
 #include "common/rng.hpp"
 #include "core/hardened_governor.hpp"
 #include "core/ssm_governor.hpp"
@@ -110,6 +111,13 @@
 namespace {
 
 using namespace ssm;
+
+/// Splits a `sep`-separated flag value into tokens; empty tokens drop.
+std::vector<std::string> listOf(const std::string& text, char sep = ',') {
+  std::vector<std::string> out;
+  for (const std::string_view token : split(text, sep)) out.emplace_back(token);
+  return out;
+}
 
 /// Minimal --key value argument map.
 class Args {
@@ -145,17 +153,55 @@ class Args {
     }
     return values_.at(key);
   }
+  /// Numeric flags parse strictly: a value that is not entirely a number
+  /// throws DataError naming the flag.
   [[nodiscard]] double getDouble(const std::string& key,
                                  double fallback) const {
-    return has(key) ? std::atof(values_.at(key).c_str()) : fallback;
+    return has(key) ? number(key, values_.at(key)) : fallback;
   }
-  [[nodiscard]] long getInt(const std::string& key, long fallback) const {
-    return has(key) ? std::atol(values_.at(key).c_str()) : fallback;
+  [[nodiscard]] std::int64_t getInt(const std::string& key,
+                                    std::int64_t fallback) const {
+    return has(key) ? integer(key, values_.at(key)) : fallback;
+  }
+  /// Comma-list forms of the numeric flags, parsed token by token.
+  [[nodiscard]] std::vector<double> getDoubles(const std::string& key) const {
+    std::vector<double> out;
+    for (const std::string& token : listOf(get(key)))
+      out.push_back(number(key, token));
+    return out;
+  }
+  [[nodiscard]] std::vector<std::int64_t> getInts(
+      const std::string& key) const {
+    std::vector<std::int64_t> out;
+    for (const std::string& token : listOf(get(key)))
+      out.push_back(integer(key, token));
+    return out;
   }
 
  private:
+  static double number(const std::string& key, const std::string& text) {
+    const std::optional<double> v = toDouble(text);
+    if (!v) throw DataError("--" + key + ": '" + text + "' is not a number");
+    return *v;
+  }
+  static std::int64_t integer(const std::string& key,
+                              const std::string& text) {
+    const std::optional<std::int64_t> v = toInt64(text);
+    if (!v)
+      throw DataError("--" + key + ": '" + text + "' is not an integer");
+    return *v;
+  }
+
   std::map<std::string, std::string> values_;
 };
+
+/// --seeds as simulator seeds.
+std::vector<std::uint64_t> seedList(const Args& args) {
+  std::vector<std::uint64_t> seeds;
+  for (const std::int64_t seed : args.getInts("seeds"))
+    seeds.push_back(static_cast<std::uint64_t>(seed));
+  return seeds;
+}
 
 /// Resolves --workload (+ optional --profile-file) to a kernel profile.
 KernelProfile resolveWorkload(const Args& args) {
@@ -737,19 +783,6 @@ int cmdQuantize(const Args& args) {
   return 0;
 }
 
-/// Splits "a,b,c" into tokens; empty tokens are dropped.
-std::vector<std::string> splitList(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 /// Resolves --workloads: a comma list of registry names, or one of the
 /// group aliases train / eval / all.
 std::vector<KernelProfile> resolveSweepWorkloads(const std::string& spec) {
@@ -757,7 +790,8 @@ std::vector<KernelProfile> resolveSweepWorkloads(const std::string& spec) {
   if (spec == "eval") return evaluationWorkloads();
   if (spec == "all") return allWorkloads();
   std::vector<KernelProfile> out;
-  for (const auto& name : splitList(spec)) out.push_back(workloadByName(name));
+  for (const std::string& name : listOf(spec))
+    out.push_back(workloadByName(name));
   if (out.empty()) throw DataError("--workloads resolved to an empty list");
   return out;
 }
@@ -773,7 +807,7 @@ std::vector<std::shared_ptr<const engine::EpochTrace>> resolveReplayTraces(
         paths.push_back(entry.path().string());
     std::sort(paths.begin(), paths.end());
   } else {
-    paths = splitList(spec);
+    paths = listOf(spec);
   }
   if (paths.empty())
     throw DataError("--replay resolved to no trace files: " + spec);
@@ -806,47 +840,21 @@ int cmdSweep(const Args& args) {
               "--replay DIR|traces (recorded with --keyframe-every)");
     spec.workloads = resolveSweepWorkloads(args.require("workloads"));
   }
-  spec.mechanisms = splitList(args.require("mechanisms"));
-  if (args.has("presets")) {
-    spec.presets.clear();
-    for (const auto& p : splitList(args.get("presets")))
-      spec.presets.push_back(std::atof(p.c_str()));
-  }
-  if (args.has("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : splitList(args.get("seeds")))
-      spec.seeds.push_back(
-          static_cast<std::uint64_t>(std::atoll(s.c_str())));
-  }
+  spec.mechanisms = listOf(args.require("mechanisms"));
+  if (args.has("presets")) spec.presets = args.getDoubles("presets");
+  if (args.has("seeds")) spec.seeds = seedList(args);
+  // '|' separates fault and thermal scenarios because their grammars use
+  // ',' and ';' internally. The literal "none" is the clean cell.
   if (args.has("faults")) {
-    // '|' separates scenarios because the spec grammar itself uses ',' and
-    // ';'. "none" (or an empty segment-free string) is the clean cell.
     std::vector<faults::FaultSpec> cells;
-    const std::string list = args.get("faults");
-    std::size_t start = 0;
-    while (start <= list.size()) {
-      std::size_t bar = list.find('|', start);
-      if (bar == std::string::npos) bar = list.size();
-      if (bar > start)
-        cells.push_back(faults::FaultSpec::parse(list.substr(start, bar - start)));
-      start = bar + 1;
-    }
+    for (const std::string& cell : listOf(args.get("faults"), '|'))
+      cells.push_back(faults::FaultSpec::parse(cell));
     if (!cells.empty()) spec.faults = std::move(cells);
   }
   if (args.has("thermal")) {
-    // Same '|' separation as --faults; the literal "none" is the cell
-    // without thermal physics.
     std::vector<thermal::ThermalScenario> cells;
-    const std::string list = args.get("thermal");
-    std::size_t start = 0;
-    while (start <= list.size()) {
-      std::size_t bar = list.find('|', start);
-      if (bar == std::string::npos) bar = list.size();
-      if (bar > start)
-        cells.push_back(
-            thermal::ThermalScenario::parse(list.substr(start, bar - start)));
-      start = bar + 1;
-    }
+    for (const std::string& cell : listOf(args.get("thermal"), '|'))
+      cells.push_back(thermal::ThermalScenario::parse(cell));
     if (!cells.empty()) spec.thermal = std::move(cells);
   }
   spec.harden = args.has("harden");
@@ -893,20 +901,6 @@ int cmdSweep(const Args& args) {
   return lines > 0 ? 0 : 1;
 }
 
-/// Splits a '|'-separated list (the separator for grammars that use ','
-/// and ';' internally, like --faults and --traffic). Empty segments drop.
-std::vector<std::string> splitBarList(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t bar = s.find('|', start);
-    if (bar == std::string::npos) bar = s.size();
-    if (bar > start) out.push_back(s.substr(start, bar - start));
-    start = bar + 1;
-  }
-  return out;
-}
-
 int cmdDc(const Args& args) {
   dc::DcSweepSpec spec;
   dc::RackSpec& base = spec.base;
@@ -926,9 +920,8 @@ int cmdDc(const Args& args) {
 
   if (args.has("faults"))
     base.fault = faults::FaultSpec::parse(args.get("faults"));
-  if (args.has("degraded"))
-    for (const auto& id : splitList(args.get("degraded")))
-      base.degraded.push_back(std::atoi(id.c_str()));
+  for (const std::int64_t id : args.getInts("degraded"))
+    base.degraded.push_back(static_cast<int>(id));
   SSM_CHECK(base.degraded.empty() || base.fault.active(),
             "--degraded needs an active --faults scenario");
   if (args.has("thermal"))
@@ -936,34 +929,33 @@ int cmdDc(const Args& args) {
 
   if (args.has("traffic")) {
     spec.traffic.clear();
-    for (const auto& t : splitBarList(args.get("traffic")))
+    for (const std::string& t : listOf(args.get("traffic"), '|'))
       spec.traffic.push_back(dc::TrafficSpec::parse(t));
     SSM_CHECK(!spec.traffic.empty(), "--traffic resolved to an empty list");
   }
   if (args.has("policies")) {
     spec.policies.clear();
-    for (const auto& p : splitList(args.get("policies")))
+    for (const std::string& p : listOf(args.get("policies")))
       spec.policies.push_back(dc::parseDispatchPolicy(p));
   } else if (args.has("policy")) {
     spec.policies = {dc::parseDispatchPolicy(args.get("policy"))};
   }
   if (args.has("rack-caps")) {
-    spec.rack_caps_w.clear();
-    for (const auto& c : splitList(args.get("rack-caps")))
-      spec.rack_caps_w.push_back(std::atof(c.c_str()));
+    spec.rack_caps_w = args.getDoubles("rack-caps");
   } else if (args.has("rack-cap")) {
     spec.rack_caps_w = {args.getDouble("rack-cap", base.power.rack_cap_w)};
   }
+  for (const double cap : spec.rack_caps_w)
+    if (!(cap > 0.0))
+      throw DataError(std::string(args.has("rack-caps") ? "--rack-caps"
+                                                        : "--rack-cap") +
+                      ": '" + formatDouble(cap) + "' is not a cap > 0 W");
   if (args.has("mechanisms")) {
-    spec.mechanisms = splitList(args.get("mechanisms"));
+    spec.mechanisms = listOf(args.get("mechanisms"));
   } else if (args.has("mechanism")) {
     spec.mechanisms = {args.get("mechanism")};
   }
-  if (args.has("seeds")) {
-    spec.seeds.clear();
-    for (const auto& s : splitList(args.get("seeds")))
-      spec.seeds.push_back(static_cast<std::uint64_t>(std::atoll(s.c_str())));
-  }
+  if (args.has("seeds")) spec.seeds = seedList(args);
   bool needs_model = base.mechanism.rfind("ssmdvfs", 0) == 0;
   for (const auto& m : spec.mechanisms)
     if (m.rfind("ssmdvfs", 0) == 0) needs_model = true;
